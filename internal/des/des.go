@@ -4,10 +4,7 @@
 // need event-driven execution (the mote experiment, the packet-level radio).
 package des
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is simulated time in nanoseconds since the start of the run.
 type Time int64
@@ -35,23 +32,63 @@ type event struct {
 	fn  func()
 }
 
+// before reports whether a fires before b: earlier time first, scheduling
+// order among equal times.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap over event values ordered by (at, seq).
+// It is typed rather than driven through container/heap so that pushing and
+// popping never box an event into an interface.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = ev
+	*h = q
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// pop removes and returns the earliest event. The vacated slot is zeroed so
+// the backing array does not keep the popped closure alive.
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	top, last := q[0], q[n]
+	q[n] = event{}
+	q = q[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	*h = q
+	return top
 }
 
 // Engine is a single-threaded event loop. Events scheduled for the same
@@ -78,7 +115,7 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("des: scheduling at %v before now %v", t, e.now))
 	}
 	e.seq++
-	heap.Push(&e.heap, event{at: t, seq: e.seq, fn: fn})
+	e.heap.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -92,7 +129,7 @@ func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.heap).(event)
+	ev := e.heap.pop()
 	e.now = ev.at
 	ev.fn()
 	return true

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"container/heap"
 	"math/rand"
 	"sort"
 	"testing"
@@ -162,4 +163,195 @@ func TestClockMonotone(t *testing.T) {
 	}
 	e.At(0, check)
 	e.Run()
+}
+
+// refHeap is the container/heap event queue the engine used before its typed
+// heap; it is kept here only as the order reference.
+type refHeap []event
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
+func (h *refHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	*h = old[:n-1]
+	return e
+}
+
+// refEngine is Engine over refHeap.
+type refEngine struct {
+	now  Time
+	heap refHeap
+	seq  uint64
+}
+
+func (e *refEngine) Now() Time { return e.now }
+func (e *refEngine) At(t Time, fn func()) {
+	e.seq++
+	heap.Push(&e.heap, event{at: t, seq: e.seq, fn: fn})
+}
+func (e *refEngine) After(d Time, fn func()) { e.At(e.now+d, fn) }
+func (e *refEngine) Step() bool {
+	if len(e.heap) == 0 {
+		return false
+	}
+	ev := heap.Pop(&e.heap).(event)
+	e.now = ev.at
+	ev.fn()
+	return true
+}
+func (e *refEngine) RunUntil(t Time) {
+	for len(e.heap) > 0 && e.heap[0].at <= t {
+		e.Step()
+	}
+	if t > e.now {
+		e.now = t
+	}
+}
+
+// engine is the surface the order-equivalence test drives on both queues.
+type engine interface {
+	Now() Time
+	At(Time, func())
+	After(Time, func())
+	Step() bool
+	RunUntil(Time)
+}
+
+// fired is one executed event: its firing time and its scheduling index,
+// which equals the engine's seq.
+type fired struct {
+	at  Time
+	seq int
+}
+
+// driveRandom runs one randomized script against e: bursts of absolute and
+// relative events drawn from a small time range (so timestamps collide
+// often), handlers that schedule nested After events, and RunUntil calls
+// interleaved with single Steps.
+func driveRandom(e engine, seed int64) []fired {
+	rng := rand.New(rand.NewSource(seed))
+	var log []fired
+	scheduled := 0
+	var schedule func(at Time, depth int)
+	schedule = func(at Time, depth int) {
+		scheduled++
+		seq := scheduled
+		e.At(at, func() {
+			log = append(log, fired{e.Now(), seq})
+			if depth < 3 {
+				for k := rng.Intn(3); k > 0; k-- {
+					scheduled++
+					seq := scheduled
+					d := depth
+					e.After(Time(rng.Intn(4)), func() {
+						log = append(log, fired{e.Now(), seq})
+						if d < 2 && rng.Intn(2) == 0 {
+							schedule(e.Now()+Time(rng.Intn(3)), d+1)
+						}
+					})
+				}
+			}
+		})
+	}
+	for round := 0; round < 40; round++ {
+		for k := rng.Intn(20); k > 0; k-- {
+			schedule(e.Now()+Time(rng.Intn(8)), 0)
+		}
+		switch rng.Intn(3) {
+		case 0:
+			e.RunUntil(e.Now() + Time(rng.Intn(6)))
+		case 1:
+			for k := rng.Intn(5); k > 0 && e.Step(); k-- {
+			}
+		default:
+			e.RunUntil(e.Now())
+		}
+	}
+	for e.Step() {
+	}
+	return log
+}
+
+func TestOrderMatchesContainerHeap(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		got := driveRandom(New(), seed)
+		want := driveRandom(&refEngine{}, seed)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d events fired, reference fired %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: event %d fired as (at %d, seq %d), reference (at %d, seq %d)",
+					seed, i, got[i].at, got[i].seq, want[i].at, want[i].seq)
+			}
+		}
+		if len(want) < 100 {
+			t.Fatalf("seed %d: only %d events fired; the script is too thin to compare", seed, len(want))
+		}
+	}
+}
+
+func TestPopZeroesVacatedSlot(t *testing.T) {
+	e := New()
+	for i := 0; i < 8; i++ {
+		e.At(Time(i), func() {})
+	}
+	for e.Step() {
+	}
+	for i, ev := range e.heap[:cap(e.heap)] {
+		if ev.fn != nil {
+			t.Fatalf("slot %d still holds a popped closure", i)
+		}
+	}
+}
+
+func TestAtStepDoesNotAllocate(t *testing.T) {
+	e := New()
+	fn := func() {}
+	// Warm the queue up to the depth the measured loop reaches.
+	for i := 0; i < 64; i++ {
+		e.At(e.Now()+Time(i), fn)
+	}
+	for e.Step() {
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 64; i++ {
+			e.At(e.Now()+Time(i%7), fn)
+		}
+		for e.Step() {
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warmed-up At+Step allocated %v times per run, want 0", allocs)
+	}
+}
+
+// BenchmarkEngineAtStep measures one At plus one Step on a queue holding
+// about 256 pending events, the steady state of an event-driven run.
+func BenchmarkEngineAtStep(b *testing.B) {
+	e := New()
+	rng := rand.New(rand.NewSource(1))
+	fn := func() {}
+	for i := 0; i < 256; i++ {
+		e.At(Time(rng.Intn(1000)), fn)
+	}
+	// Grow the queue past its steady depth once, so even b.N = 1 measures
+	// no slice growth.
+	e.At(e.Now(), fn)
+	e.Step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.At(e.Now()+Time(rng.Intn(1000)), fn)
+		e.Step()
+	}
 }

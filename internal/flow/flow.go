@@ -20,7 +20,7 @@
 //     *data phases* that drain the queues slot by slot according to the
 //     produced schedule;
 //   - a metrics layer: delivered goodput, per-packet end-to-end delay
-//     percentiles (stats.Percentile), peak backlog and control-overhead
+//     percentiles (stats.Percentiles), peak backlog and control-overhead
 //     fraction.
 //
 // Runs are deterministic: all randomness derives from Config.Seed, arrivals
@@ -841,8 +841,9 @@ func Run(cfg Config) (*Result, error) {
 	res.PeakBacklogDuringOutage = peakOutage
 	if delay.N() > 0 {
 		res.DelayMean = des.FromSeconds(delay.Mean())
-		res.DelayP50 = des.FromSeconds(delay.Percentile(50))
-		res.DelayP95 = des.FromSeconds(delay.Percentile(95))
+		q := delay.Percentiles(50, 95)
+		res.DelayP50 = des.FromSeconds(q[0])
+		res.DelayP95 = des.FromSeconds(q[1])
 	}
 	if sec := res.Elapsed.Seconds(); sec > 0 {
 		res.GoodputPps = float64(res.Delivered) / sec

@@ -147,6 +147,10 @@ func (s *SlotState) Links() []Link {
 	return out
 }
 
+// AppendLinks appends the links currently in the slot to dst, in admission
+// order, and returns the extended slice.
+func (s *SlotState) AppendLinks(dst []Link) []Link { return append(dst, s.links...) }
+
 // CanAdd reports whether adding l keeps the slot feasible: l must not share
 // an endpoint with any admitted link, l itself must clear both SINR
 // inequalities against the current slot, and every admitted link must

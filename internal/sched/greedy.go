@@ -155,9 +155,19 @@ func greedyPhysicalOrdered(ch phys.Engine, links []phys.Link, demands []int, ord
 	// Materialize the schedule from the slot states; each holds its links
 	// in admission order. A slot is only ever created by a link that then
 	// joins it (singleton feasibility was pre-validated), so none is empty.
+	// All slots share one backing array; each is capped at its own length,
+	// so an append to one slot (AddToSlot) copies instead of overwriting
+	// the next.
+	total := 0
+	for _, st := range slots {
+		total += st.Len()
+	}
+	buf := make([]phys.Link, 0, total)
 	s := &Schedule{slots: make([][]phys.Link, len(slots))}
 	for i, st := range slots {
-		s.slots[i] = st.Links()
+		start := len(buf)
+		buf = st.AppendLinks(buf)
+		s.slots[i] = buf[start:len(buf):len(buf)]
 	}
 	recordBuild(s.slots)
 	return s, nil

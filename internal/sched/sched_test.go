@@ -120,6 +120,42 @@ func TestGreedyPhysicalVerifies(t *testing.T) {
 	}
 }
 
+// TestGreedySlotsDoNotAlias pins the shared backing array greedy
+// schedules are materialized into: every slot is capped at its length, so
+// growing one slot through AddToSlot must leave its neighbours intact.
+func TestGreedySlotsDoNotAlias(t *testing.T) {
+	net, links, demands := testMesh(t, 5, 7)
+	s, err := GreedyPhysical(net.Channel, links, demands, ByHeadIDDesc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Length() < 3 {
+		t.Fatalf("need at least 3 slots, got %d", s.Length())
+	}
+	before := make([][]phys.Link, s.Length())
+	for i := range before {
+		if cap(s.Slot(i)) != len(s.Slot(i)) {
+			t.Fatalf("slot %d: cap %d exceeds len %d", i, cap(s.Slot(i)), len(s.Slot(i)))
+		}
+		before[i] = append([]phys.Link(nil), s.Slot(i)...)
+	}
+	extra := phys.Link{From: 98, To: 99}
+	for i := 0; i < s.Length(); i++ {
+		s.AddToSlot(i, extra)
+	}
+	for i := range before {
+		got := s.Slot(i)
+		if len(got) != len(before[i])+1 || got[len(got)-1] != extra {
+			t.Fatalf("slot %d = %v, want %v + %v", i, got, before[i], extra)
+		}
+		for j, l := range before[i] {
+			if got[j] != l {
+				t.Fatalf("slot %d link %d = %v after growing the slots, was %v", i, j, got[j], l)
+			}
+		}
+	}
+}
+
 func TestGreedyPhysicalBeatsLinear(t *testing.T) {
 	// On a 6x6 grid there is real spatial reuse to find.
 	net, links, demands := testMesh(t, 6, 3)

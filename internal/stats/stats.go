@@ -80,28 +80,61 @@ func (s *Sample) Max() float64 {
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
 // interpolation between closest ranks. It returns 0 for an empty sample.
-func (s *Sample) Percentile(p float64) float64 {
+func (s *Sample) Percentile(p float64) float64 { return s.Percentiles(p)[0] }
+
+// Percentiles returns Percentile(p) for each p in ps, in the order given.
+// The observations are ordered as sort.Float64s orders them (NaN first), but
+// the sample is copied once and only the order statistics the ranks need
+// are placed, by selection rather than a full sort.
+func (s *Sample) Percentiles(ps ...float64) []float64 {
+	out := make([]float64, len(ps))
 	n := len(s.xs)
 	if n == 0 {
-		return 0
+		return out
 	}
-	sorted := make([]float64, n)
-	copy(sorted, s.xs)
-	sort.Float64s(sorted)
+	// Each percentile reads the order statistics at lo and hi of its rank.
+	ranks := make([]int, 0, 2*len(ps))
+	for _, p := range ps {
+		lo, hi, _ := rank(p, n)
+		ranks = append(ranks, lo, hi)
+	}
+	sort.Ints(ranks)
+	x := make([]float64, n)
+	copy(x, s.xs)
+	// Place the ranks in ascending order: once x[k] holds order statistic
+	// k, everything after it is no smaller, so the next rank is selected
+	// from x[k+1:] alone.
+	from := 0
+	for _, k := range ranks {
+		if k >= from {
+			selectK(x, from, n, k)
+			from = k + 1
+		}
+	}
+	for i, p := range ps {
+		lo, hi, frac := rank(p, n)
+		if lo == hi {
+			out[i] = x[lo]
+		} else {
+			out[i] = x[lo]*(1-frac) + x[hi]*frac
+		}
+	}
+	return out
+}
+
+// rank locates percentile p of n sorted observations: the order statistics
+// lo <= hi it lies between and the interpolation weight of hi. Percentiles
+// outside [0, 100] clamp to the extremes.
+func rank(p float64, n int) (lo, hi int, frac float64) {
 	if p <= 0 {
-		return sorted[0]
+		return 0, 0, 0
 	}
 	if p >= 100 {
-		return sorted[n-1]
+		return n - 1, n - 1, 0
 	}
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	r := p / 100 * float64(n-1)
+	lo, hi = int(math.Floor(r)), int(math.Ceil(r))
+	return lo, hi, r - float64(lo)
 }
 
 // CI95 returns the half-width of the 95% confidence interval for the mean

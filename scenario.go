@@ -334,6 +334,9 @@ func (s ScenarioSpec) Validate() error {
 	if name == "pdd" && (s.P <= 0 || s.P > 1) {
 		return fmt.Errorf("scream: scenario: pdd needs p in (0, 1], got %g", s.P)
 	}
+	if err := s.validateDurations(); err != nil {
+		return err
+	}
 	if s.HorizonSec <= 0 {
 		return fmt.Errorf("scream: scenario: horizon_sec must be > 0")
 	}
@@ -365,6 +368,41 @@ func (s ScenarioSpec) Validate() error {
 			if def, err := flowSchedulerDistributed(name); err == nil && def {
 				return fmt.Errorf("scream: scenario: scheduler %q requires the dense interference engine", name)
 			}
+		}
+	}
+	return nil
+}
+
+// maxSimSeconds is the longest duration a seconds field can hold: its
+// nanosecond ticks must fit in an int64 (about 292 years).
+const maxSimSeconds = float64(math.MaxInt64) / float64(Second)
+
+// validateDurations rejects every seconds field whose tick count secsToSim
+// could not represent: NaN, ±Inf, or a magnitude past maxSimSeconds, any of
+// which would otherwise wrap into a nonsense (often negative) duration.
+func (s ScenarioSpec) validateDurations() error {
+	type field struct {
+		name string
+		sec  float64
+	}
+	fields := []field{
+		{"horizon_sec", s.HorizonSec},
+		{"idle_wait_sec", s.IdleWaitSec},
+		{"traffic.mean_on_sec", s.Traffic.MeanOnSec},
+		{"traffic.mean_off_sec", s.Traffic.MeanOffSec},
+	}
+	if d := s.Dynamics; d != nil {
+		fields = append(fields,
+			field{"dynamics.mean_downtime_sec", d.MeanDowntimeSec},
+			field{"dynamics.pause_sec", d.PauseSec},
+			field{"dynamics.move_interval_sec", d.MoveIntervalSec})
+	}
+	for _, f := range fields {
+		// Compare the ticks themselves: float64(MaxInt64) rounds to 2^63,
+		// the first positive tick count an int64 cannot hold. NaN fails
+		// the comparison too.
+		if !(math.Abs(f.sec*float64(Second)) < float64(math.MaxInt64)) {
+			return fmt.Errorf("scream: scenario: %s = %g is out of range (must be finite, magnitude below %.0f s)", f.name, f.sec, maxSimSeconds)
 		}
 	}
 	return nil

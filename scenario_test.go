@@ -3,6 +3,7 @@ package scream
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -111,6 +112,57 @@ func TestScenarioValidate(t *testing.T) {
 	spec.Scheduler = "astrology"
 	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "greedy") {
 		t.Errorf("unknown-scheduler error should list valid names, got %v", err)
+	}
+}
+
+// TestScenarioValidateDurations: every seconds field rejects NaN, ±Inf and
+// values whose nanosecond ticks overflow int64, naming the field and the
+// bound, while the largest representable magnitude still validates.
+func TestScenarioValidateDurations(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*ScenarioSpec, float64)
+	}{
+		{"horizon_sec", func(s *ScenarioSpec, v float64) { s.HorizonSec = v }},
+		{"idle_wait_sec", func(s *ScenarioSpec, v float64) { s.IdleWaitSec = v }},
+		{"traffic.mean_on_sec", func(s *ScenarioSpec, v float64) { s.Traffic.Kind = "bursty"; s.Traffic.MeanOnSec = v }},
+		{"traffic.mean_off_sec", func(s *ScenarioSpec, v float64) { s.Traffic.Kind = "bursty"; s.Traffic.MeanOffSec = v }},
+		{"dynamics.mean_downtime_sec", func(s *ScenarioSpec, v float64) {
+			s.Dynamics = &DynamicsSpec{FailRate: 0.1, MeanDowntimeSec: v}
+		}},
+		{"dynamics.pause_sec", func(s *ScenarioSpec, v float64) {
+			s.Dynamics = &DynamicsSpec{Mobility: "waypoint", SpeedMps: 1, PauseSec: v}
+		}},
+		{"dynamics.move_interval_sec", func(s *ScenarioSpec, v float64) {
+			s.Dynamics = &DynamicsSpec{Mobility: "waypoint", SpeedMps: 1, MoveIntervalSec: v}
+		}},
+	}
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300, 9.3e9, maxSimSeconds}
+	for _, f := range fields {
+		for _, v := range bad {
+			spec := testSpec()
+			f.set(&spec, v)
+			err := spec.Validate()
+			if err == nil {
+				t.Errorf("%s = %g: validated", f.name, v)
+				continue
+			}
+			if !strings.Contains(err.Error(), f.name) || !strings.Contains(err.Error(), "9223372037 s") {
+				t.Errorf("%s = %g: error %q should name the field and the maximum", f.name, v, err)
+			}
+		}
+		// Just inside the bound, the tick count is representable.
+		spec := testSpec()
+		f.set(&spec, math.Nextafter(maxSimSeconds, 0))
+		if err := spec.Validate(); err != nil && strings.Contains(err.Error(), f.name) {
+			t.Errorf("%s just below the maximum: %v", f.name, err)
+		}
+	}
+	// The overflow used to surface from Run as a misleading error.
+	spec := testSpec()
+	spec.HorizonSec = 1e300
+	if _, err := Run(context.Background(), spec); err == nil || !strings.Contains(err.Error(), "horizon_sec = 1e+300") {
+		t.Errorf("Run with horizon_sec 1e300: %v", err)
 	}
 }
 
