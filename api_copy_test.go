@@ -7,6 +7,7 @@ package scream
 // mutate-and-compare probes.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -131,6 +132,18 @@ func TestAPIDefensiveCopies(t *testing.T) {
 				t.Errorf("re-selecting a clone's engine changed the source mesh: %q", m.EngineName())
 			}
 		}},
+		{"RunWith leaves the caller's spec untouched", func(t *testing.T) {
+			spec := testSpec()
+			spec.Topology.Gateways = []int{0, 15}
+			spec.Dynamics = &DynamicsSpec{FailRate: 8, MeanDowntimeSec: 0.04}
+			want := spec.Clone()
+			if _, err := RunWith(context.Background(), spec, RunOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(spec, want) {
+				t.Errorf("RunWith mutated its spec:\n got %+v\nwant %+v", spec, want)
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, tc.probe)
@@ -142,25 +155,11 @@ func TestAPIDefensiveCopies(t *testing.T) {
 // running on the clone perturbs nothing in the source.
 func TestMeshCloneRunEquivalence(t *testing.T) {
 	m := flowTestMesh(t)
-	frame, err := m.FlowFrameTime(Timing{})
+	a, err := RunWith(context.Background(), testSpec(), RunOptions{Mesh: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rate := 0.5 / frame.Seconds()
-	opts := func() FlowOptions {
-		return FlowOptions{
-			Arrivals:       flowTestArrivals(t, m, rate),
-			Horizon:        300 * Millisecond,
-			Seed:           7,
-			MaxService:     8,
-			FramesPerEpoch: 8,
-		}
-	}
-	a, err := RunFlow(m, opts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunFlow(m.Clone(), opts())
+	b, err := RunWith(context.Background(), testSpec(), RunOptions{Mesh: m.Clone()})
 	if err != nil {
 		t.Fatal(err)
 	}

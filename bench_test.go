@@ -9,6 +9,7 @@ package scream
 // full-size sweeps.
 
 import (
+	"context"
 	"io"
 	"strings"
 	"testing"
@@ -226,50 +227,52 @@ func BenchmarkFigEngineSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkFlowEpoch exercises the flow-level dynamic traffic simulator: a
-// 16-node mesh at 1.0x offered load, greedy epoch re-scheduling with an
-// 8-packet quota and 8-frame schedule reuse, 200 ms of simulated time per
-// iteration. Reported metrics give the per-second simulation throughput of
-// the epoch driver (epochs, delivered packets).
-func BenchmarkFlowEpoch(b *testing.B) {
+// benchFlowEpochs times the run half of RunWith on the flow benchmarks'
+// scenario: a 16-node mesh at 1.0x offered CBR load, the named epoch
+// scheduler with an 8-packet quota and 8-frame schedule reuse, 200 ms of
+// simulated time per iteration, a fresh run seed each iteration. The mesh,
+// spec validation and arrival processes are built once, outside the timed
+// loop.
+func benchFlowEpochs(b *testing.B, scheduler string, o RunOptions) *FlowResult {
+	b.Helper()
 	m, err := NewGridMesh(GridMeshConfig{Rows: 4, Cols: 4, StepMeters: 30, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	frame, err := m.FlowFrameTime(Timing{})
-	if err != nil {
+	spec := ScenarioSpec{
+		Topology:       TopologySpec{Kind: "grid", Rows: 4, Cols: 4, StepMeters: 30},
+		Traffic:        TrafficSpec{Kind: "cbr", Load: 1},
+		Scheduler:      scheduler,
+		HorizonSec:     0.2,
+		MaxService:     8,
+		FramesPerEpoch: 8,
+	}
+	if err := spec.Validate(); err != nil {
 		b.Fatal(err)
 	}
-	isGW := make(map[int]bool)
-	for _, g := range m.Gateways() {
-		isGW[g] = true
-	}
-	rate := 1.0 / frame.Seconds()
-	arrivals := make([]Arrival, m.NumNodes())
-	for u := range arrivals {
-		if isGW[u] {
-			continue
-		}
-		if arrivals[u], err = NewCBR(rate); err != nil {
-			b.Fatal(err)
-		}
+	arrivals, err := spec.arrivals(m, DefaultTiming())
+	if err != nil {
+		b.Fatal(err)
 	}
 	var last *FlowResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := RunFlow(m, FlowOptions{
-			Scheduler:      FlowGreedy,
-			Arrivals:       arrivals,
-			Horizon:        200 * Millisecond,
-			Seed:           int64(i),
-			MaxService:     8,
-			FramesPerEpoch: 8,
-		})
+		spec.Seed = int64(i)
+		res, err := runFlow(context.Background(), spec, m, arrivals, o)
 		if err != nil {
 			b.Fatal(err)
 		}
 		last = res
 	}
+	return last
+}
+
+// BenchmarkFlowEpoch exercises the flow-level dynamic traffic simulator with
+// greedy epoch re-scheduling (see benchFlowEpochs). Reported metrics give the
+// per-second simulation throughput of the epoch driver (epochs, delivered
+// packets).
+func BenchmarkFlowEpoch(b *testing.B) {
+	last := benchFlowEpochs(b, "greedy", RunOptions{})
 	b.ReportMetric(float64(last.Epochs), "epochs")
 	b.ReportMetric(float64(last.Delivered), "delivered_pkts")
 	b.ReportMetric(last.GoodputPps, "goodput_pps")
@@ -283,54 +286,14 @@ func BenchmarkFlowEpoch(b *testing.B) {
 // BenchmarkFlowEpoch itself — the nil-check branches are the entire cost of
 // shipping the instrumentation.
 func benchFlowEpochObs(b *testing.B, enabled bool) {
-	m, err := NewGridMesh(GridMeshConfig{Rows: 4, Cols: 4, StepMeters: 30, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	frame, err := m.FlowFrameTime(Timing{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	isGW := make(map[int]bool)
-	for _, g := range m.Gateways() {
-		isGW[g] = true
-	}
-	rate := 1.0 / frame.Seconds()
-	arrivals := make([]Arrival, m.NumNodes())
-	for u := range arrivals {
-		if isGW[u] {
-			continue
-		}
-		if arrivals[u], err = NewCBR(rate); err != nil {
-			b.Fatal(err)
-		}
-	}
-	var reg *ObsRegistry
-	var trace *ObsTracer
+	var o RunOptions
 	if enabled {
-		reg = NewObsRegistry()
-		trace = NewObsTracer(io.Discard)
-		EnableRuntimeMetrics(reg)
+		o.Metrics = NewObsRegistry()
+		o.Trace = NewObsTracer(io.Discard)
+		EnableRuntimeMetrics(o.Metrics)
 		defer EnableRuntimeMetrics(nil) // detach the process globals for the other benchmarks
 	}
-	var last *FlowResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := RunFlow(m, FlowOptions{
-			Scheduler:      FlowGreedy,
-			Arrivals:       arrivals,
-			Horizon:        200 * Millisecond,
-			Seed:           int64(i),
-			MaxService:     8,
-			FramesPerEpoch: 8,
-			Metrics:        reg,
-			Trace:          trace,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
+	last := benchFlowEpochs(b, "greedy", o)
 	b.ReportMetric(float64(last.Epochs), "epochs")
 	b.ReportMetric(float64(last.Delivered), "delivered_pkts")
 }
@@ -410,44 +373,7 @@ func BenchmarkFanZhangSchedule64(b *testing.B) {
 // scheduler: the epoch driver re-ranks by backlog snapshot each epoch, so
 // this measures the full backlog -> ordering -> schedule loop under load.
 func BenchmarkMaxWeightEpoch(b *testing.B) {
-	m, err := NewGridMesh(GridMeshConfig{Rows: 4, Cols: 4, StepMeters: 30, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	frame, err := m.FlowFrameTime(Timing{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	isGW := make(map[int]bool)
-	for _, g := range m.Gateways() {
-		isGW[g] = true
-	}
-	rate := 1.0 / frame.Seconds()
-	arrivals := make([]Arrival, m.NumNodes())
-	for u := range arrivals {
-		if isGW[u] {
-			continue
-		}
-		if arrivals[u], err = NewCBR(rate); err != nil {
-			b.Fatal(err)
-		}
-	}
-	var last *FlowResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := RunFlow(m, FlowOptions{
-			Scheduler:      FlowMaxWeight,
-			Arrivals:       arrivals,
-			Horizon:        200 * Millisecond,
-			Seed:           int64(i),
-			MaxService:     8,
-			FramesPerEpoch: 8,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
+	last := benchFlowEpochs(b, "maxweight", RunOptions{})
 	b.ReportMetric(float64(last.Epochs), "epochs")
 	b.ReportMetric(float64(last.Delivered), "delivered_pkts")
 	b.ReportMetric(last.GoodputPps, "goodput_pps")

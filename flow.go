@@ -1,15 +1,15 @@
 package scream
 
-// The flow-level dynamic traffic API: run a mesh's schedulers over simulated
-// time under continuous packet arrivals — per-link FIFO queues, gateway
-// forwarding along the routing forest, epoch-based re-scheduling against
-// backlog snapshots, and goodput/delay/backlog metrics. See internal/flow
-// and the "Dynamic traffic" section of DESIGN.md.
+// The flow-level dynamic traffic run: a mesh's schedulers over simulated time
+// under continuous packet arrivals — per-link FIFO queues, gateway forwarding
+// along the routing forest, epoch-based re-scheduling against backlog
+// snapshots, and goodput/delay/backlog metrics. A run is described by a
+// ScenarioSpec and executed by Run/RunWith. See internal/flow and the
+// "Dynamic traffic" section of DESIGN.md.
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"scream/internal/dynam"
 	"scream/internal/flow"
@@ -20,217 +20,32 @@ import (
 
 // Flow-related aliases re-exported from internal packages.
 type (
-	// Arrival is a per-node packet arrival process (CBR, Poisson, bursty
-	// on/off); see NewCBR, NewPoisson, NewBursty.
-	Arrival = traffic.Arrival
 	// FlowResult is the outcome of a dynamic traffic run: goodput, delay
 	// percentiles, backlog and control-overhead accounting.
 	FlowResult = flow.Result
 	// EpochUpdate is the per-epoch progress snapshot handed to
-	// FlowOptions.OnEpoch — the streaming hook of interactive callers (the
+	// RunOptions.OnEpoch — the streaming hook of interactive callers (the
 	// screamd daemon's epoch stream is exactly these, serialized).
 	EpochUpdate = flow.EpochUpdate
 )
 
-// FlowScheduler selects the epoch scheduler of a dynamic traffic run.
-type FlowScheduler int
-
-const (
-	// FlowGreedy re-runs the centralized GreedyPhysical baseline each
-	// epoch with zero (genie) control cost.
-	FlowGreedy FlowScheduler = iota + 1
-	// FlowFDD re-runs the FDD protocol each epoch, paying its real
-	// simulated execution time as control cost.
-	FlowFDD
-	// FlowPDD re-runs PDD (activation probability FlowOptions.P) each
-	// epoch at real control cost.
-	FlowPDD
-	// FlowTDMA serves every backlogged link one singleton slot per frame:
-	// the no-spatial-reuse baseline, zero control cost.
-	FlowTDMA
-	// FlowMaxWeight re-ranks links by backlog x Shannon-rate each epoch and
-	// admits greedily in that order — the queue-aware centralized baseline,
-	// zero control cost. Single-channel only.
-	FlowMaxWeight
-	// FlowFanZhang partitions links into geometric length classes and
-	// first-fits each class on fresh slots, longest class first — the
-	// approximation-guarantee scheduler, zero control cost. Single-channel
-	// only.
-	FlowFanZhang
-)
-
-// FlowOptions parameterizes RunFlow.
-type FlowOptions struct {
-	// Scheduler picks the epoch scheduler; the zero value is FlowGreedy.
-	Scheduler FlowScheduler
-	// P is PDD's activation probability (FlowPDD only).
-	P float64
-	// Ordering is the greedy edge ordering (FlowGreedy; 0 = ByHeadIDDesc).
-	Ordering Ordering
-	// Timing is the slot timing model; zero value uses DefaultTiming.
-	Timing Timing
-	// K is the SCREAM length for the distributed schedulers; 0 uses the
-	// mesh's interference diameter.
-	K int
-	// Arrivals holds one arrival process per node (nil entries are silent
-	// nodes; gateways must be nil). Required.
-	Arrivals []Arrival
-	// Horizon is the simulated duration. Required.
-	Horizon SimTime
-	// Seed drives all randomness of the run.
-	Seed int64
-	// MaxQueue caps each link queue in packets (0 = unbounded).
-	MaxQueue int
-	// MaxService caps per-link demand per epoch (0 = full backlog).
-	MaxService int
-	// FramesPerEpoch replays each epoch's schedule this many times before
-	// re-scheduling, amortizing control cost (0 = 1).
-	FramesPerEpoch int
-	// IdleWait is the backlog re-check period when the network is empty
-	// (0 = one handshake slot).
-	IdleWait SimTime
-	// Dynamics, when non-nil, drives node churn and mobility during the
-	// run (the mesh itself is never mutated — the run operates on a clone).
-	Dynamics *DynamicsOptions
-	// Channels is the number of orthogonal data channels the epoch
-	// schedules ride (0 or 1 = the single-channel simulator, unchanged).
-	// With more channels every scheduler packs each slot across the channel
-	// set — per-channel SINR feasibility, per-node radio budget from the
-	// mesh's RadioParams.NumRadios — and the distributed schedulers pay
-	// their control traffic on the designated control channel (channel 0).
-	Channels int
-	// Metrics, when non-nil, receives live counters from every layer the
-	// run touches (core protocol, flow driver, dynamics). When nil, the
-	// run falls back to the process-default registry installed by
-	// EnableRuntimeMetrics — still nil by default, costing nothing.
-	// Metrics are write-only; enabling them never changes a result.
-	Metrics *ObsRegistry
-	// Trace, when non-nil, receives structured JSONL events — the schema-v2
-	// span hierarchy (run ▸ epoch ▸ schedule_build ▸ slot) plus point events
-	// (protocol handshakes, churn and repair) — timestamped in simulated
-	// ticks.
-	Trace *ObsTracer
-	// Perf opts into wall-clock sampling of the run's hot paths: each
-	// schedule build and each epoch drive is timed into scream_perf_*
-	// histograms in the effective registry, and span_end trace lines gain a
-	// sampled wall_ns field. Samples are write-only — simulated results stay
-	// bit-identical — but the trace bytes stop being deterministic, so
-	// golden-trace comparisons must keep this off.
-	Perf bool
-	// OnEpoch, when non-nil, is called synchronously after every built
-	// epoch's data phase with a progress snapshot — the streaming hook.
-	// The callback must treat the update as read-only; it cannot change
-	// any result.
-	OnEpoch func(EpochUpdate)
-}
-
-// MobilityKind selects the node mobility model of a dynamics run.
-type MobilityKind int
-
-const (
-	// MobilityNone keeps node positions static.
-	MobilityNone MobilityKind = iota
-	// MobilityWaypoint is the classical random-waypoint walk: travel to a
-	// uniform waypoint at SpeedMps, pause, repeat.
-	MobilityWaypoint
-	// MobilityDrift gives each node a constant random-heading velocity,
-	// reflecting off the deployment region boundary.
-	MobilityDrift
-)
-
-// DynamicsOptions parameterizes topology dynamics for RunFlow: node churn
-// (failures and repairs, optionally including gateways) and node mobility.
-// Events take effect at epoch boundaries: queues on dead nodes are dropped,
-// the routing forest is repaired incrementally (full rebuild on partition or
-// gateway outage), adaptive schedulers re-plan on the repaired topology at a
-// RepairCost of two SCREAM floods, and the static TDMA baseline keeps its
-// frame structure with dead-endpoint transmissions suppressed. Disruption
-// metrics land in FlowResult (LostOnFailure, Recovered, RecoveryTime, ...).
-type DynamicsOptions struct {
-	// FailRate is the expected number of failures per node per simulated
-	// second; 0 disables churn.
-	FailRate float64
-	// MeanDowntime is the mean repair time after a failure; 0 makes
-	// failures permanent.
-	MeanDowntime SimTime
-	// FailGateways includes gateways in the churn process.
-	FailGateways bool
-	// Mobility selects the mobility model (default MobilityNone).
-	Mobility MobilityKind
-	// SpeedMps is the mobility speed in meters per second.
-	SpeedMps float64
-	// Pause is the random-waypoint dwell time at each waypoint.
-	Pause SimTime
-	// MoveInterval is the position sampling period (0 = 100 ms).
-	MoveInterval SimTime
-	// Script, when non-nil, replaces the generated timeline with explicit
-	// events (testing hook; see dynam.Event).
-	Script []DynamicsEvent
-}
-
-// Dynamics-related aliases re-exported from internal/dynam.
-type (
-	// DynamicsEvent is one scripted topology event.
-	DynamicsEvent = dynam.Event
-	// DynamicsMobility is a custom mobility model implementation.
-	DynamicsMobility = dynam.Mobility
-)
-
-// Scripted dynamics event kinds.
-const (
-	NodeFail    = dynam.Fail
-	NodeRecover = dynam.Recover
-	NodeMove    = dynam.Move
-)
-
-// NewCBR returns a constant-rate arrival process (packets per second).
-func NewCBR(rate float64) (Arrival, error) { return traffic.NewCBR(rate) }
-
-// NewPoisson returns a Poisson arrival process (mean packets per second).
-func NewPoisson(rate float64) (Arrival, error) { return traffic.NewPoisson(rate) }
-
-// NewBursty returns a two-state on/off arrival process: Poisson at peakRate
-// during exponential ON periods (mean meanOn), silent during OFF periods
-// (mean meanOff).
-func NewBursty(peakRate float64, meanOn, meanOff SimTime) (Arrival, error) {
-	return traffic.NewBursty(peakRate, meanOn, meanOff)
-}
-
-// HotspotRates draws Zipf-skewed per-node rate multipliers normalized to
-// mean 1 — combine with NewPoisson to concentrate a mesh's offered load on a
-// few hotspot routers.
-func HotspotRates(n int, s, v float64, max uint64, seed int64) ([]float64, error) {
-	return traffic.HotspotRates(n, s, v, max, rand.New(rand.NewSource(seed)))
-}
-
-// RunFlow runs a flow-level dynamic traffic simulation on the mesh: packets
-// arrive at source nodes per opts.Arrivals, queue on forest links, and are
-// drained by the selected scheduler's epoch-based schedules until the
-// horizon. With opts.Dynamics set, node churn and mobility run underneath
-// (on a private clone of the mesh's network — the Mesh is never mutated).
-// See FlowResult for the metrics returned.
-func RunFlow(m *Mesh, opts FlowOptions) (*FlowResult, error) {
-	return RunFlowContext(context.Background(), m, opts)
-}
-
-// RunFlowContext is RunFlow with cancellation: the context is checked once
-// per driver cycle, and cancellation aborts the run with an error wrapping
-// ctx.Err(). This is the entrypoint of interactive callers (the screamd
-// daemon cancels a session's run when its client disconnects or the server
-// drains).
-func RunFlowContext(ctx context.Context, m *Mesh, opts FlowOptions) (*FlowResult, error) {
-	tm := opts.Timing
-	if tm == (Timing{}) {
-		tm = DefaultTiming()
-	}
+// runFlow is the run half of RunWith: it drains the given arrivals on m with
+// the spec's scheduler until the horizon. The spec must already be valid and
+// the arrivals built for m. With spec.Dynamics set, node churn and mobility
+// run underneath on a private clone of the mesh's network — the Mesh is never
+// mutated. The context is checked once per driver cycle; cancellation aborts
+// the run with an error wrapping ctx.Err().
+func runFlow(ctx context.Context, spec ScenarioSpec, m *Mesh, arrivals []traffic.Arrival, o RunOptions) (*FlowResult, error) {
+	tm := DefaultTiming()
+	horizon := secsToSim(spec.HorizonSec)
 	// Effective observability sinks: an explicit per-run registry wins
 	// (test isolation); otherwise the process default installed by
 	// EnableRuntimeMetrics, which is nil unless a CLI opted in.
-	metrics := opts.Metrics
+	metrics := o.Metrics
 	if metrics == nil {
 		metrics = obs.Default()
 	}
-	trace := opts.Trace
+	trace := o.Trace
 	// The network view the run operates on: the mesh's own for static runs,
 	// an exclusively-owned clone when dynamics mutate it. Schedulers must be
 	// built over the same view the dynamics world mutates.
@@ -238,35 +53,19 @@ func RunFlowContext(ctx context.Context, m *Mesh, opts FlowOptions) (*FlowResult
 	var (
 		world      *dynam.World
 		repairCost SimTime
-		err        error
 	)
-	if opts.Dynamics != nil {
-		d := opts.Dynamics
-		dcfg := dynam.Config{
-			FailRate:     d.FailRate,
-			MeanDowntime: d.MeanDowntime,
-			FailGateways: d.FailGateways,
-			MoveInterval: d.MoveInterval,
-			Horizon:      opts.Horizon,
-			Seed:         opts.Seed,
-			Script:       d.Script,
-		}
-		switch d.Mobility {
-		case MobilityNone:
-		case MobilityWaypoint:
-			dcfg.Mobility = dynam.RandomWaypoint{SpeedMps: d.SpeedMps, Pause: d.Pause}
-		case MobilityDrift:
-			dcfg.Mobility = dynam.Drift{SpeedMps: d.SpeedMps}
-		default:
-			return nil, fmt.Errorf("scream: unknown mobility model %d", d.Mobility)
-		}
+	dcfg, err := spec.Dynamics.config(horizon, spec.Seed)
+	if err != nil {
+		return nil, err
+	}
+	if dcfg != nil {
 		net = m.Network.Clone()
-		world, err = dynam.NewWorld(net, m.Forest, dcfg)
+		world, err = dynam.NewWorld(net, m.Forest, *dcfg)
 		if err != nil {
 			return nil, fmt.Errorf("scream: %w", err)
 		}
 		world.SetObs(metrics, trace)
-		k := opts.K
+		k := spec.K
 		if k == 0 {
 			k = net.InterferenceDiameter()
 		}
@@ -288,19 +87,14 @@ func RunFlowContext(ctx context.Context, m *Mesh, opts FlowOptions) (*FlowResult
 		}
 		engine = idx
 	}
-	channels := opts.Channels
+	channels := spec.Channels
 	if channels <= 0 {
 		channels = 1
 	}
 	// Scheduler construction goes through the registry (internal/flow
-	// SchedulerDefs): the legacy FlowScheduler constants are resolved to
-	// their registry names and built from the same table flowsim, figgen and
-	// the screamd daemon enumerate.
-	name, ok := opts.Scheduler.registryName()
-	if !ok {
-		return nil, fmt.Errorf("scream: unknown flow scheduler %d", opts.Scheduler)
-	}
-	def, err := flow.SchedulerDefByName(name)
+	// SchedulerDefs): the same table flowsim, figgen and the screamd daemon
+	// enumerate.
+	def, err := flow.SchedulerDefByName(spec.SchedulerName())
 	if err != nil {
 		return nil, fmt.Errorf("scream: %w", err)
 	}
@@ -309,11 +103,10 @@ func RunFlowContext(ctx context.Context, m *Mesh, opts FlowOptions) (*FlowResult
 		Engine:   engine,
 		Sens:     net.Sens,
 		Links:    m.Links,
-		Ordering: opts.Ordering,
-		K:        opts.K,
+		K:        spec.K,
 		Timing:   tm,
-		P:        opts.P,
-		Seed:     opts.Seed,
+		P:        spec.P,
+		Seed:     spec.Seed,
 		Channels: channels,
 		Radios:   m.radios,
 		Metrics:  metrics,
@@ -327,20 +120,20 @@ func RunFlowContext(ctx context.Context, m *Mesh, opts FlowOptions) (*FlowResult
 		Links:          m.Links,
 		Scheduler:      scheduler,
 		Timing:         tm,
-		Arrivals:       opts.Arrivals,
-		Horizon:        opts.Horizon,
-		Seed:           opts.Seed,
-		MaxQueue:       opts.MaxQueue,
-		MaxService:     opts.MaxService,
-		FramesPerEpoch: opts.FramesPerEpoch,
-		IdleWait:       opts.IdleWait,
+		Arrivals:       arrivals,
+		Horizon:        horizon,
+		Seed:           spec.Seed,
+		MaxQueue:       spec.MaxQueue,
+		MaxService:     spec.MaxService,
+		FramesPerEpoch: spec.FramesPerEpoch,
+		IdleWait:       secsToSim(spec.IdleWaitSec),
 		Dynamics:       world,
 		RepairCost:     repairCost,
 		Metrics:        metrics,
 		Trace:          trace,
-		OnEpoch:        opts.OnEpoch,
+		OnEpoch:        o.OnEpoch,
 	}
-	if opts.Perf {
+	if o.Perf {
 		cfg.Perf = obs.NewPerf(metrics, scheduler.Name)
 		trace.EnableWallClock(nil) // nil-safe; WallNow
 	}
@@ -357,7 +150,8 @@ func RunFlowContext(ctx context.Context, m *Mesh, opts FlowOptions) (*FlowResult
 // FlowFrameTime returns the mesh's capacity reference: the duration of one
 // greedy frame delivering one end-to-end packet per non-gateway node. A
 // per-node arrival rate of x/FlowFrameTime offers x times the static
-// schedule's sustainable load (the x axis of FigFlowLoad).
+// schedule's sustainable load (TrafficSpec.Load and the x axis of
+// FigFlowLoad).
 func (m *Mesh) FlowFrameTime(tm Timing) (SimTime, error) {
 	if tm == (Timing{}) {
 		tm = DefaultTiming()

@@ -1,7 +1,12 @@
 package scream
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -14,140 +19,149 @@ func flowTestMesh(t *testing.T) *Mesh {
 	return m
 }
 
-func flowTestArrivals(t *testing.T, m *Mesh, rate float64) []Arrival {
+// flowTestSpec is the pinned flow scenario of the root tests, run on
+// flowTestMesh (mesh seed 1) through RunOptions.Mesh: Poisson arrivals at
+// half the static capacity, run seed 7, an 8-packet service quota and
+// 8-frame schedule reuse. P only matters to "pdd".
+func flowTestSpec(scheduler string) ScenarioSpec {
+	spec := testSpec()
+	spec.Scheduler = scheduler
+	spec.P = 0.8
+	return spec
+}
+
+type flowCase struct {
+	name string
+	spec ScenarioSpec
+}
+
+// flowGoldenCases enumerates the pinned runs of the results golden: every
+// registry scheduler static and under churn plus waypoint mobility, and the
+// multi-channel schedulers at two channels.
+func flowGoldenCases() []flowCase {
+	var cases []flowCase
+	for _, info := range Schedulers() {
+		static := flowTestSpec(info.Name)
+		cases = append(cases, flowCase{"static/" + info.Name, static})
+		churn := static
+		churn.HorizonSec = 0.4
+		churn.Dynamics = &DynamicsSpec{
+			FailRate:        8,
+			MeanDowntimeSec: 0.04,
+			Mobility:        "waypoint",
+			SpeedMps:        10,
+			PauseSec:        0.02,
+			MoveIntervalSec: 0.01,
+		}
+		cases = append(cases, flowCase{"churn/" + info.Name, churn})
+		if info.MultiChannel {
+			multi := static
+			multi.Channels = 2
+			cases = append(cases, flowCase{"channels2/" + info.Name, multi})
+		}
+	}
+	return cases
+}
+
+// runFlowCase runs one case on m and asserts packet conservation: every
+// offered packet is delivered, dropped at a full queue, lost on a failed
+// node or still queued at the horizon.
+func runFlowCase(t *testing.T, m *Mesh, c flowCase) *FlowResult {
 	t.Helper()
-	isGW := make(map[int]bool)
-	for _, g := range m.Gateways() {
-		isGW[g] = true
+	res, err := RunWith(context.Background(), c.spec, RunOptions{Mesh: m})
+	if err != nil {
+		t.Fatalf("%s: %v", c.name, err)
 	}
-	arrivals := make([]Arrival, m.NumNodes())
-	for u := range arrivals {
-		if isGW[u] {
-			continue
-		}
-		a, err := NewPoisson(rate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		arrivals[u] = a
+	if res.Delivered == 0 {
+		t.Errorf("%s delivered nothing (offered %d)", c.name, res.Offered)
 	}
-	return arrivals
+	if got := res.Delivered + res.Dropped + res.LostOnFailure + res.FinalBacklog; got != res.Offered {
+		t.Errorf("%s: conservation %d != offered %d", c.name, got, res.Offered)
+	}
+	return res
 }
 
 func TestRunFlow(t *testing.T) {
 	m := flowTestMesh(t)
-	frame, err := m.FlowFrameTime(Timing{})
-	if err != nil {
-		t.Fatal(err)
+	if frame, err := m.FlowFrameTime(Timing{}); err != nil || frame <= 0 {
+		t.Fatalf("frame time %v (err %v)", frame, err)
 	}
-	if frame <= 0 {
-		t.Fatalf("frame time %v", frame)
-	}
-	rate := 0.5 / frame.Seconds()
-	for _, sched := range []FlowScheduler{FlowGreedy, FlowFDD, FlowPDD, FlowTDMA} {
-		res, err := RunFlow(m, FlowOptions{
-			Scheduler:      sched,
-			P:              0.8,
-			Arrivals:       flowTestArrivals(t, m, rate),
-			Horizon:        300 * Millisecond,
-			Seed:           7,
-			MaxService:     8,
-			FramesPerEpoch: 8,
-		})
-		if err != nil {
-			t.Fatalf("scheduler %d: %v", sched, err)
-		}
-		if res.Delivered == 0 {
-			t.Errorf("scheduler %d delivered nothing (offered %d)", sched, res.Offered)
-		}
-		if got := res.Delivered + res.Dropped + res.FinalBacklog; got != res.Offered {
-			t.Errorf("scheduler %d: conservation %d != offered %d", sched, got, res.Offered)
+	for _, c := range flowGoldenCases() {
+		if c.spec.Dynamics == nil {
+			runFlowCase(t, m, c)
 		}
 	}
-	if _, err := RunFlow(m, FlowOptions{Scheduler: 99, Arrivals: flowTestArrivals(t, m, rate), Horizon: Millisecond}); err == nil {
+	if _, err := RunWith(context.Background(), flowTestSpec("astrology"), RunOptions{Mesh: m}); err == nil {
 		t.Error("unknown scheduler should fail")
 	}
 }
 
-// TestRunFlowDynamics drives every scheduler through the public dynamics
-// API: churn plus waypoint mobility on a private clone — the mesh itself
-// must come out of the run untouched.
+// TestRunFlowDynamics drives every scheduler through churn plus waypoint
+// mobility on a private clone — the mesh itself must come out of the run
+// untouched.
 func TestRunFlowDynamics(t *testing.T) {
 	m := flowTestMesh(t)
 	before := m.Network.Channel.RxPowerMW(0, 1)
-	frame, err := m.FlowFrameTime(Timing{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rate := 0.5 / frame.Seconds()
-	for _, sched := range []FlowScheduler{FlowGreedy, FlowFDD, FlowPDD, FlowTDMA} {
-		res, err := RunFlow(m, FlowOptions{
-			Scheduler:      sched,
-			P:              0.8,
-			Arrivals:       flowTestArrivals(t, m, rate),
-			Horizon:        400 * Millisecond,
-			Seed:           7,
-			MaxService:     8,
-			FramesPerEpoch: 8,
-			Dynamics: &DynamicsOptions{
-				FailRate:     8,
-				MeanDowntime: 40 * Millisecond,
-				Mobility:     MobilityWaypoint,
-				SpeedMps:     10,
-				Pause:        20 * Millisecond,
-				MoveInterval: 10 * Millisecond,
-			},
-		})
-		if err != nil {
-			t.Fatalf("scheduler %d: %v", sched, err)
+	for _, c := range flowGoldenCases() {
+		if c.spec.Dynamics == nil {
+			continue
 		}
+		res := runFlowCase(t, m, c)
 		if res.FailEvents == 0 || res.MoveEvents == 0 {
-			t.Errorf("scheduler %d: dynamics inert (%d fail, %d move events)", sched, res.FailEvents, res.MoveEvents)
-		}
-		if res.Delivered == 0 {
-			t.Errorf("scheduler %d delivered nothing under dynamics (offered %d)", sched, res.Offered)
-		}
-		if got := res.Delivered + res.Dropped + res.LostOnFailure + res.FinalBacklog; got != res.Offered {
-			t.Errorf("scheduler %d: conservation %d != offered %d", sched, got, res.Offered)
+			t.Errorf("%s: dynamics inert (%d fail, %d move events)", c.name, res.FailEvents, res.MoveEvents)
 		}
 	}
 	if got := m.Network.Channel.RxPowerMW(0, 1); got != before {
-		t.Fatalf("RunFlow with dynamics mutated the mesh channel: %v -> %v", before, got)
+		t.Fatalf("a run with dynamics mutated the mesh channel: %v -> %v", before, got)
 	}
 	if m.Network.IsDown(1) {
-		t.Fatal("RunFlow with dynamics marked a mesh node down")
-	}
-	// Scripted bursts work through the public API too.
-	res, err := RunFlow(m, FlowOptions{
-		Arrivals:       flowTestArrivals(t, m, rate),
-		Horizon:        300 * Millisecond,
-		Seed:           3,
-		MaxService:     8,
-		FramesPerEpoch: 8,
-		Dynamics: &DynamicsOptions{
-			Script: []DynamicsEvent{{At: 100 * Millisecond, Kind: NodeFail, Node: 1}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FailEvents != 1 {
-		t.Fatalf("scripted burst not applied: %d fail events", res.FailEvents)
+		t.Fatal("a run with dynamics marked a mesh node down")
 	}
 }
 
-func TestHotspotRatesRoot(t *testing.T) {
-	rates, err := HotspotRates(64, 1.5, 1, 32, 3)
+// TestFlowResultsGolden pins the FlowResult of every golden case byte for
+// byte, as JSON. Regenerate with: go test -run TestFlowResultsGolden -update
+func TestFlowResultsGolden(t *testing.T) {
+	m := flowTestMesh(t)
+	results := make(map[string]json.RawMessage)
+	for _, c := range flowGoldenCases() {
+		raw, err := json.Marshal(runFlowCase(t, m, c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[c.name] = raw
+	}
+	got, err := json.MarshalIndent(results, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := 0.0
-	for _, r := range rates {
-		sum += r
+	got = append(got, '\n')
+	golden := filepath.Join("testdata", "flow_results_golden.json")
+	if *updateGolden {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if math.Abs(sum-64) > 1e-6 {
-		t.Errorf("hotspot rates sum %v, want 64", sum)
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	var wantResults map[string]json.RawMessage
+	if err := json.Unmarshal(want, &wantResults); err != nil {
+		t.Fatal(err)
+	}
+	for name, raw := range results {
+		var g, w bytes.Buffer
+		json.Compact(&g, raw)
+		json.Compact(&w, wantResults[name])
+		if !bytes.Equal(g.Bytes(), w.Bytes()) {
+			t.Errorf("%s diverges from %s:\n got %s\nwant %s", name, golden, g.Bytes(), w.Bytes())
+		}
+	}
+	t.Fatalf("flow results diverge from %s; run with -update only after an intended change", golden)
 }
 
 // TestRadioParamsCSThreshold pins the carrier-sense sentinel semantics:

@@ -17,7 +17,6 @@ import (
 	"scream/internal/des"
 	"scream/internal/dynam"
 	"scream/internal/flow"
-	"scream/internal/sched"
 	"scream/internal/stats"
 	"scream/internal/traffic"
 )
@@ -46,44 +45,20 @@ func churnCurveNames() []string {
 	return []string{"Centralized", "FDD", "PDD p=0.8", "TDMA (static)"}
 }
 
-// RunChurnCell runs one (failure-rate, seed) cell: every curve gets a fresh
-// copy of the same scenario and the same churn timeline (the world seed
-// derives from the cell seed only); arrival streams are seeded per curve,
-// FigFlowLoad's convention, so cross-curve deltas average out over seeds
-// rather than being arrival-paired. failures is the expected number of
-// failures per node over the run; the returned values are delivered goodput
-// in packets per second.
+// RunChurnCell runs one (failure-rate, seed) cell over the flow figure's
+// registry schedulers (flowScheduler): every curve gets a fresh copy of the
+// same scenario and the same churn timeline (the world seed derives from the
+// cell seed only); arrival streams are seeded per curve, FigFlowLoad's
+// convention, so cross-curve deltas average out over seeds rather than being
+// arrival-paired. failures is the expected number of failures per node over
+// the run; the returned values are delivered goodput in packets per second.
 func RunChurnCell(failures float64, seed int64, quick bool) ([]float64, error) {
 	horizonFrames := 1200
 	if quick {
 		horizonFrames = 300
 	}
-	type curve struct {
-		name  string
-		build func(s *Scenario, tm core.Timing) (flow.Scheduler, error)
-	}
-	curves := []curve{
-		{"greedy", func(s *Scenario, tm core.Timing) (flow.Scheduler, error) {
-			return flow.NewGreedyScheduler(s.Net.Channel, s.Links, sched.ByHeadIDDesc), nil
-		}},
-		{"fdd", func(s *Scenario, tm core.Timing) (flow.Scheduler, error) {
-			return flow.NewProtocolScheduler(flow.ProtocolSchedulerConfig{
-				Channel: s.Net.Channel, Sens: s.Net.Sens, Links: s.Links,
-				Timing: tm, Variant: core.FDD, Seed: seed,
-			})
-		}},
-		{"pdd", func(s *Scenario, tm core.Timing) (flow.Scheduler, error) {
-			return flow.NewProtocolScheduler(flow.ProtocolSchedulerConfig{
-				Channel: s.Net.Channel, Sens: s.Net.Sens, Links: s.Links,
-				Timing: tm, Variant: core.PDD, P: 0.8, Seed: seed + 1,
-			})
-		}},
-		{"tdma", func(s *Scenario, tm core.Timing) (flow.Scheduler, error) {
-			return flow.NewTDMAScheduler(s.Links), nil
-		}},
-	}
-	vals := make([]float64, len(curves))
-	for ci, c := range curves {
+	vals := make([]float64, len(flowSchedulerNames))
+	for ci, name := range flowSchedulerNames {
 		// Every curve rebuilds the scenario from the cell seed: the dynamics
 		// world mutates the network in place, so curves must not share one.
 		s, err := GridScenario(flowDensity, 5300+seed)
@@ -105,7 +80,7 @@ func RunChurnCell(failures float64, seed int64, quick bool) ([]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		sc, err := c.build(s, tm)
+		sc, err := flowScheduler(s, tm, name, seed, 1, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +110,7 @@ func RunChurnCell(failures float64, seed int64, quick bool) ([]float64, error) {
 			RepairCost:     tm.RepairCost(s.Net.InterferenceDiameter()),
 		})
 		if err != nil {
-			return nil, fmt.Errorf("churn cell failures=%g seed=%d curve=%s: %w", failures, seed, c.name, err)
+			return nil, fmt.Errorf("churn cell failures=%g seed=%d curve=%s: %w", failures, seed, name, err)
 		}
 		vals[ci] = res.GoodputPps
 	}

@@ -41,32 +41,48 @@ func FlowLoads(quick bool) []float64 {
 	return []float64{0.3, 0.5, 0.7, 0.85, 1.0, 1.2, 1.5}
 }
 
-// flowSchedulers builds the figure's four curves for one scenario through
-// the flow-scheduler registry: the centralized greedy upper bound, the two
-// distributed protocols at their real control cost, and the TDMA floor.
-func flowSchedulers(s *Scenario, tm core.Timing, seed int64) ([]flow.Scheduler, error) {
-	base := flow.SchedulerEnv{
-		Channel: s.Net.Channel, Sens: s.Net.Sens, Links: s.Links, Timing: tm,
+// flowSchedulerNames are the registry names behind the four curves of the
+// flow, churn and channels figures.
+var flowSchedulerNames = []string{"greedy", "fdd", "pdd", "tdma"}
+
+// flowScheduler builds one figure curve's scheduler for a scenario through
+// the flow-scheduler registry: FDD draws from seed, PDD runs at p = 0.8 from
+// seed+1. channels > 1 packs every slot across that many orthogonal channels
+// with radios radios per node; 0 or 1 is the single-channel simulator.
+func flowScheduler(s *Scenario, tm core.Timing, name string, seed int64, channels, radios int) (flow.Scheduler, error) {
+	def, err := flow.SchedulerDefByName(name)
+	if err != nil {
+		return flow.Scheduler{}, err
 	}
-	var out []flow.Scheduler
-	for _, name := range []string{"greedy", "fdd", "pdd", "tdma"} {
-		def, err := flow.SchedulerDefByName(name)
+	env := flow.SchedulerEnv{
+		Channel: s.Net.Channel, Sens: s.Net.Sens, Links: s.Links, Timing: tm,
+		Channels: channels, Radios: radios,
+	}
+	switch name {
+	case "fdd":
+		env.Seed = seed
+	case "pdd":
+		env.P = 0.8
+		env.Seed = seed + 1
+	}
+	sc, err := def.New(env)
+	if err != nil {
+		return flow.Scheduler{}, fmt.Errorf("build %s: %w", name, err)
+	}
+	return sc, nil
+}
+
+// flowSchedulers builds the figure's four curves for one scenario: the
+// centralized greedy upper bound, the two distributed protocols at their
+// real control cost, and the TDMA floor.
+func flowSchedulers(s *Scenario, tm core.Timing, seed int64, channels, radios int) ([]flow.Scheduler, error) {
+	out := make([]flow.Scheduler, len(flowSchedulerNames))
+	for i, name := range flowSchedulerNames {
+		sc, err := flowScheduler(s, tm, name, seed, channels, radios)
 		if err != nil {
 			return nil, err
 		}
-		env := base
-		switch name {
-		case "fdd":
-			env.Seed = seed
-		case "pdd":
-			env.P = 0.8
-			env.Seed = seed + 1
-		}
-		sc, err := def.New(env)
-		if err != nil {
-			return nil, fmt.Errorf("flow figure: build %s: %w", name, err)
-		}
-		out = append(out, sc)
+		out[i] = sc
 	}
 	return out, nil
 }
@@ -94,7 +110,7 @@ func RunFlowCell(load float64, seed int64, quick bool) ([]float64, error) {
 		horizonFrames = 400
 	}
 	horizon := des.Time(horizonFrames) * frame
-	schedulers, err := flowSchedulers(s, tm, seed)
+	schedulers, err := flowSchedulers(s, tm, seed, 1, 0)
 	if err != nil {
 		return nil, err
 	}

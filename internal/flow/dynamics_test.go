@@ -124,7 +124,7 @@ func TestFlowChurnRecoveryVsStaticTDMA(t *testing.T) {
 	script := []dynam.Event{{At: burstAt, Kind: dynam.Fail, Node: victims[0]}}
 
 	tbA, wA := dynTestbed(t, base, dynam.Config{Script: script})
-	adaptive := runDynamic(t, tbA, wA, tbA.greedy(), load, horizon, 42)
+	adaptive := runDynamic(t, tbA, wA, tbA.greedy(t), load, horizon, 42)
 
 	tbS, wS := dynTestbed(t, base, dynam.Config{Script: script})
 	static := runDynamic(t, tbS, wS, NewTDMAScheduler(tbS.links), load, horizon, 42)
@@ -169,7 +169,7 @@ func TestFlowChurnConservation(t *testing.T) {
 		Horizon:      100 * frame,
 		Seed:         5,
 	})
-	res := runDynamic(t, tbD, w, tbD.greedy(), 0.6, 100*frame, 9)
+	res := runDynamic(t, tbD, w, tbD.greedy(t), 0.6, 100*frame, 9)
 	if res.FailEvents == 0 {
 		t.Fatal("churn generated no failures; raise the rate")
 	}
@@ -195,7 +195,7 @@ func TestFlowGatewayOutage(t *testing.T) {
 	tbD, w := dynTestbed(t, tb, dynam.Config{Script: []dynam.Event{
 		{At: 30 * frame, Kind: dynam.Fail, Node: gw},
 	}})
-	res := runDynamic(t, tbD, w, tbD.greedy(), 0.4, 120*frame, 3)
+	res := runDynamic(t, tbD, w, tbD.greedy(t), 0.4, 120*frame, 3)
 	if res.Rebuilds == 0 {
 		t.Fatal("gateway outage did not force a rebuild")
 	}
@@ -217,7 +217,7 @@ func TestFlowMobilityRun(t *testing.T) {
 		Horizon:      horizon,
 		Seed:         11,
 	})
-	res := runDynamic(t, tbD, w, tbD.greedy(), 0.5, horizon, 4)
+	res := runDynamic(t, tbD, w, tbD.greedy(t), 0.5, horizon, 4)
 	if res.MoveEvents == 0 {
 		t.Fatal("mobility generated no move events")
 	}
@@ -249,7 +249,7 @@ func TestFlowDynamicsDeterministic(t *testing.T) {
 	}
 	run := func() *Result {
 		tbD, w := dynTestbed(t, tb, cfg)
-		return runDynamic(t, tbD, w, tbD.greedy(), 0.7, 60*frame, 13)
+		return runDynamic(t, tbD, w, tbD.greedy(t), 0.7, 60*frame, 13)
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
@@ -277,13 +277,9 @@ func TestFlowControlUnavailable(t *testing.T) {
 		{At: 40 * frame, Kind: dynam.Fail, Node: 1}, // severs node 2 from the gateway
 		{At: 120 * frame, Kind: dynam.Recover, Node: 1},
 	}})
-	fdd, err := NewProtocolScheduler(ProtocolSchedulerConfig{
-		Channel: tbD.net.Channel, Sens: tbD.net.Sens, Links: tbD.links,
-		Timing: tm, Variant: core.FDD, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := tbD.env()
+	env.Timing, env.Seed = tm, 3
+	fdd := newScheduler(t, "fdd", env)
 	res := runDynamic(t, tbD, w, fdd, 0.3, horizon, 17)
 	if res.FailEvents != 1 || res.RecoverEvents != 1 {
 		t.Fatalf("events not applied: %d fail, %d recover", res.FailEvents, res.RecoverEvents)

@@ -9,7 +9,6 @@ import (
 	"scream/internal/des"
 	"scream/internal/phys"
 	"scream/internal/route"
-	"scream/internal/sched"
 	"scream/internal/topo"
 	"scream/internal/traffic"
 )
@@ -92,8 +91,27 @@ func (tb *testbed) cbrAt(t testing.TB, rate float64) []traffic.Arrival {
 	return arr
 }
 
-func (tb *testbed) greedy() Scheduler {
-	return NewGreedyScheduler(tb.net.Channel, tb.links, sched.ByHeadIDDesc)
+// env is the scheduler environment of the testbed's deployment.
+func (tb *testbed) env() SchedulerEnv {
+	return SchedulerEnv{Channel: tb.net.Channel, Sens: tb.net.Sens, Links: tb.links}
+}
+
+// newScheduler builds the named registry scheduler for env.
+func newScheduler(t testing.TB, name string, env SchedulerEnv) Scheduler {
+	t.Helper()
+	def, err := SchedulerDefByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := def.New(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func (tb *testbed) greedy(t testing.TB) Scheduler {
+	return newScheduler(t, "greedy", tb.env())
 }
 
 func runAtLoad(t testing.TB, tb *testbed, s Scheduler, load float64, horizon des.Time, seed int64) *Result {
@@ -123,9 +141,9 @@ func runAtLoad(t testing.TB, tb *testbed, s Scheduler, load float64, horizon des
 func TestFlowSaturation(t *testing.T) {
 	tb := newTestbed(t, 3, 3)
 	horizon := 400 * des.Millisecond
-	low := runAtLoad(t, tb, tb.greedy(), 0.5, horizon, 42)
-	over := runAtLoad(t, tb, tb.greedy(), 2.0, horizon, 42)
-	deep := runAtLoad(t, tb, tb.greedy(), 4.0, horizon, 42)
+	low := runAtLoad(t, tb, tb.greedy(t), 0.5, horizon, 42)
+	over := runAtLoad(t, tb, tb.greedy(t), 2.0, horizon, 42)
+	deep := runAtLoad(t, tb, tb.greedy(t), 4.0, horizon, 42)
 
 	// Below saturation the system keeps up: nearly everything offered is
 	// delivered and the residual backlog is a few in-flight packets.
@@ -170,7 +188,7 @@ func TestFlowSaturation(t *testing.T) {
 func TestFlowConservation(t *testing.T) {
 	tb := newTestbed(t, 3, 3)
 	for _, load := range []float64{0.5, 1.5} {
-		res := runAtLoad(t, tb, tb.greedy(), load, 300*des.Millisecond, 7)
+		res := runAtLoad(t, tb, tb.greedy(t), load, 300*des.Millisecond, 7)
 		if got := res.Delivered + res.Dropped + res.FinalBacklog; got != res.Offered {
 			t.Errorf("load %.1f: delivered %d + dropped %d + backlog %d = %d != offered %d",
 				load, res.Delivered, res.Dropped, res.FinalBacklog, got, res.Offered)
@@ -191,8 +209,8 @@ func TestFlowConservation(t *testing.T) {
 // property the experiment engine's worker fan-out relies on.
 func TestFlowDeterminism(t *testing.T) {
 	tb := newTestbed(t, 3, 3)
-	a := runAtLoad(t, tb, tb.greedy(), 1.2, 200*des.Millisecond, 99)
-	b := runAtLoad(t, tb, tb.greedy(), 1.2, 200*des.Millisecond, 99)
+	a := runAtLoad(t, tb, tb.greedy(t), 1.2, 200*des.Millisecond, 99)
+	b := runAtLoad(t, tb, tb.greedy(t), 1.2, 200*des.Millisecond, 99)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same seed, different results:\n%+v\n%+v", a, b)
 	}
@@ -206,7 +224,7 @@ func TestFlowMaxQueue(t *testing.T) {
 	res, err := Run(Config{
 		Forest:    tb.forest,
 		Links:     tb.links,
-		Scheduler: tb.greedy(),
+		Scheduler: tb.greedy(t),
 		Timing:    tm,
 		Arrivals:  tb.cbrAt(t, 3/frame.Seconds()),
 		Horizon:   300 * des.Millisecond,
@@ -234,27 +252,18 @@ func TestFlowProtocolSchedulers(t *testing.T) {
 	tm := core.DefaultTiming()
 	frame := tb.frameTime(t, tm)
 	for _, tc := range []struct {
-		name    string
-		variant core.Variant
-		p       float64
+		name      string
+		scheduler string
+		p         float64
 	}{
-		{"FDD", core.FDD, 0},
-		{"PDD", core.PDD, 0.6},
+		{"FDD", "fdd", 0},
+		{"PDD", "pdd", 0.6},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := NewProtocolScheduler(ProtocolSchedulerConfig{
-				Channel: tb.net.Channel,
-				Sens:    tb.net.Sens,
-				Links:   tb.links,
-				Timing:  tm,
-				Variant: tc.variant,
-				P:       tc.p,
-				Seed:    17,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			env := tb.env()
+			env.Timing, env.P, env.Seed = tm, tc.p, 17
+			s := newScheduler(t, tc.scheduler, env)
 			res, err := Run(Config{
 				Forest:    tb.forest,
 				Links:     tb.links,
@@ -294,17 +303,9 @@ func TestFlowFramesPerEpoch(t *testing.T) {
 	tm := core.DefaultTiming()
 	frame := tb.frameTime(t, tm)
 	run := func(frames int) *Result {
-		s, err := NewProtocolScheduler(ProtocolSchedulerConfig{
-			Channel: tb.net.Channel,
-			Sens:    tb.net.Sens,
-			Links:   tb.links,
-			Timing:  tm,
-			Variant: core.FDD,
-			Seed:    23,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		env := tb.env()
+		env.Timing, env.Seed = tm, 23
+		s := newScheduler(t, "fdd", env)
 		res, err := Run(Config{
 			Forest:         tb.forest,
 			Links:          tb.links,
@@ -339,7 +340,7 @@ const time600ms = 600 * des.Millisecond
 func TestFlowGreedyBeatsTDMA(t *testing.T) {
 	tb := newReuseTestbed(t)
 	horizon := 300 * des.Millisecond
-	greedy := runAtLoad(t, tb, tb.greedy(), 3, horizon, 3)
+	greedy := runAtLoad(t, tb, tb.greedy(t), 3, horizon, 3)
 	tdma := runAtLoad(t, tb, NewTDMAScheduler(tb.links), 3, horizon, 3)
 	if greedy.GoodputPps < 1.2*tdma.GoodputPps {
 		t.Errorf("greedy %.0f pps vs TDMA %.0f pps at saturation; spatial reuse should win clearly", greedy.GoodputPps, tdma.GoodputPps)
@@ -387,7 +388,7 @@ func TestFlowConfigValidation(t *testing.T) {
 		return Config{
 			Forest:    tb.forest,
 			Links:     tb.links,
-			Scheduler: tb.greedy(),
+			Scheduler: tb.greedy(t),
 			Timing:    tm,
 			Arrivals:  make([]traffic.Arrival, tb.forest.NumNodes()),
 			Horizon:   des.Millisecond,
@@ -433,7 +434,7 @@ func TestFlowIdlesWhenSilent(t *testing.T) {
 	res, err := Run(Config{
 		Forest:    tb.forest,
 		Links:     tb.links,
-		Scheduler: tb.greedy(),
+		Scheduler: tb.greedy(t),
 		Arrivals:  make([]traffic.Arrival, tb.forest.NumNodes()),
 		Horizon:   10 * des.Millisecond,
 		Seed:      1,

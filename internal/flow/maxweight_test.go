@@ -64,8 +64,8 @@ func TestMaxWeightBeatsStaticGreedyUnderZipfBacklog(t *testing.T) {
 	}
 	var mwTotal, greedyTotal float64
 	for seed := int64(1); seed <= 3; seed++ {
-		mw := run(NewMaxWeightScheduler(tb.net.Channel, tb.links), seed)
-		gr := run(tb.greedy(), seed)
+		mw := run(newScheduler(t, "maxweight", tb.env()), seed)
+		gr := run(tb.greedy(t), seed)
 		t.Logf("seed %d: maxweight %.1f pkt/s, static greedy %.1f pkt/s", seed, mw, gr)
 		mwTotal += mw
 		greedyTotal += gr
@@ -105,7 +105,7 @@ func TestFanZhangSchedulerRunsAndBeatsTDMA(t *testing.T) {
 		}
 		return res.GoodputPps
 	}
-	fz := run(NewFanZhangScheduler(tb.net.Channel, tb.links))
+	fz := run(newScheduler(t, "fanzhang", tb.env()))
 	tdma := run(NewTDMAScheduler(tb.links))
 	t.Logf("fanzhang %.1f pkt/s, tdma %.1f pkt/s", fz, tdma)
 	if fz <= tdma {
@@ -117,7 +117,7 @@ func TestFanZhangSchedulerRunsAndBeatsTDMA(t *testing.T) {
 // rebind the scheduler must build against the new link set without error.
 func TestMaxWeightSchedulerRebinds(t *testing.T) {
 	tb := newTestbed(t, 4, 4)
-	s := NewMaxWeightScheduler(tb.net.Channel, tb.links)
+	s := newScheduler(t, "maxweight", tb.env())
 	demands := make([]int, len(tb.links))
 	for i := range demands {
 		demands[i] = 1

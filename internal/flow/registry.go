@@ -108,24 +108,13 @@ func (e SchedulerEnv) requireDense(name string) error {
 	return fmt.Errorf("flow: scheduler %q requires the dense interference engine", name)
 }
 
-func (e SchedulerEnv) protocolConfig(v core.Variant) ProtocolSchedulerConfig {
-	cfg := ProtocolSchedulerConfig{
-		Channel: e.Channel,
-		Sens:    e.Sens,
-		Links:   e.Links,
-		K:       e.K,
-		Timing:  e.Timing,
-		Variant: v,
-		P:       e.P,
-		Seed:    e.Seed,
-		Metrics: e.Metrics,
-		Trace:   e.Trace,
-	}
+// singleChannel returns an error when the environment asks a single-channel
+// scheduler for more than one channel.
+func (e SchedulerEnv) singleChannel(name string) error {
 	if e.Channels > 1 {
-		cfg.Channels = e.Channels
-		cfg.Radios = e.Radios
+		return fmt.Errorf("flow: scheduler %q is single-channel only", name)
 	}
-	return cfg
+	return nil
 }
 
 // backendDoc pulls the doc string of the static scheduler-family member the
@@ -152,10 +141,17 @@ func SchedulerDefs() []SchedulerDef {
 			Doc:          backendDoc("greedy("),
 			MultiChannel: true,
 			New: func(env SchedulerEnv) (Scheduler, error) {
-				if env.Channels > 1 {
-					return NewGreedyMultiEngineScheduler(env.engine(), env.Channels, env.Radios, env.Links, env.ordering()), nil
+				ord := env.ordering()
+				if channels, radios := env.Channels, env.Radios; channels > 1 {
+					return centralizedScheduler(fmt.Sprintf("greedy(%v,C=%d)", ord, channels), env.engine(), env.Links,
+						func(eng phys.Engine, links []phys.Link, demands []int) (*sched.Schedule, error) {
+							return sched.GreedyPhysicalMultiEngine(eng, channels, radios, links, demands, ord)
+						}), nil
 				}
-				return NewGreedyScheduler(env.engine(), env.Links, env.ordering()), nil
+				return centralizedScheduler(fmt.Sprintf("greedy(%v)", ord), env.engine(), env.Links,
+					func(eng phys.Engine, links []phys.Link, demands []int) (*sched.Schedule, error) {
+						return sched.GreedyPhysical(eng, links, demands, ord)
+					}), nil
 			},
 		},
 		{
@@ -163,10 +159,10 @@ func SchedulerDefs() []SchedulerDef {
 			Display: "MaxWeight",
 			Doc:     backendDoc("maxweight"),
 			New: func(env SchedulerEnv) (Scheduler, error) {
-				if env.Channels > 1 {
-					return Scheduler{}, fmt.Errorf("flow: scheduler %q is single-channel only", "maxweight")
+				if err := env.singleChannel("maxweight"); err != nil {
+					return Scheduler{}, err
 				}
-				return NewMaxWeightScheduler(env.engine(), env.Links), nil
+				return centralizedScheduler("maxweight", env.engine(), env.Links, sched.GreedyMaxWeight), nil
 			},
 		},
 		{
@@ -174,10 +170,10 @@ func SchedulerDefs() []SchedulerDef {
 			Display: "FanZhang",
 			Doc:     backendDoc("fanzhang"),
 			New: func(env SchedulerEnv) (Scheduler, error) {
-				if env.Channels > 1 {
-					return Scheduler{}, fmt.Errorf("flow: scheduler %q is single-channel only", "fanzhang")
+				if err := env.singleChannel("fanzhang"); err != nil {
+					return Scheduler{}, err
 				}
-				return NewFanZhangScheduler(env.engine(), env.Links), nil
+				return centralizedScheduler("fanzhang", env.engine(), env.Links, sched.ApproxFanZhang), nil
 			},
 		},
 		{
@@ -190,7 +186,7 @@ func SchedulerDefs() []SchedulerDef {
 				if err := env.requireDense("fdd"); err != nil {
 					return Scheduler{}, err
 				}
-				return NewProtocolScheduler(env.protocolConfig(core.FDD))
+				return protocolScheduler(env, core.FDD)
 			},
 		},
 		{
@@ -203,7 +199,7 @@ func SchedulerDefs() []SchedulerDef {
 				if err := env.requireDense("pdd"); err != nil {
 					return Scheduler{}, err
 				}
-				return NewProtocolScheduler(env.protocolConfig(core.PDD))
+				return protocolScheduler(env, core.PDD)
 			},
 		},
 		{

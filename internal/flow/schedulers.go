@@ -7,8 +7,6 @@ import (
 
 	"scream/internal/core"
 	"scream/internal/des"
-	"scream/internal/graph"
-	"scream/internal/obs"
 	"scream/internal/phys"
 	"scream/internal/route"
 	"scream/internal/sched"
@@ -50,89 +48,20 @@ func FrameTime(ch phys.Engine, forest *route.Forest, links []phys.Link, tm core.
 	return des.Time(s.Length()) * tm.HandshakeSlot(), nil
 }
 
-// NewGreedyScheduler returns the centralized GreedyPhysical baseline as an
-// epoch scheduler. Its control cost is idealized to zero: a genie gathers the
-// backlog and disseminates the schedule for free, which makes it the upper
-// bound the distributed protocols are judged against (their re-scheduling
-// pays real SCREAM/election/handshake time). It is adaptive under topology
-// dynamics: Rebind re-targets it at the repaired link set (the channel is
-// the same object, mutated in place by the dynamics world).
-func NewGreedyScheduler(ch phys.Engine, links []phys.Link, ord sched.Ordering) Scheduler {
+// centralizedScheduler wraps a centralized schedule builder over the
+// interference engine eng as an epoch scheduler. Its control cost is
+// idealized to zero: a genie gathers the backlog and disseminates the
+// schedule for free, which makes the centralized schedulers the upper bound
+// the distributed protocols are judged against (their re-scheduling pays real
+// SCREAM/election/handshake time). It is adaptive under topology dynamics:
+// Rebind re-targets it at the repaired link set (the engine is the same
+// object, mutated in place by the dynamics world).
+func centralizedScheduler(name string, eng phys.Engine, links []phys.Link, build func(phys.Engine, []phys.Link, []int) (*sched.Schedule, error)) Scheduler {
 	cur := links
 	return Scheduler{
-		Name: fmt.Sprintf("greedy(%v)", ord),
+		Name: name,
 		Build: func(demands []int, _ int) (*sched.Schedule, des.Time, error) {
-			s, err := sched.GreedyPhysical(ch, cur, demands, ord)
-			return s, 0, err
-		},
-		Rebind: func(t Topology) error {
-			cur = t.Links
-			return nil
-		},
-	}
-}
-
-// NewMaxWeightScheduler returns the max-weight backlog×rate scheduler as an
-// epoch scheduler: every epoch re-ranks the links by the product of their
-// backlog snapshot and rate proxy (sched.MaxWeightOrder) and runs the greedy
-// admission engine in that order — the queue-aware discipline of
-// heavy-traffic scheduling, against GreedyPhysical's static link order.
-// Control cost is idealized to zero, the same genie as NewGreedyScheduler,
-// so the two are directly comparable. It is adaptive under topology
-// dynamics: Rebind re-targets it at the repaired link set.
-func NewMaxWeightScheduler(ch phys.Engine, links []phys.Link) Scheduler {
-	cur := links
-	return Scheduler{
-		Name: "maxweight",
-		Build: func(demands []int, _ int) (*sched.Schedule, des.Time, error) {
-			s, err := sched.GreedyMaxWeight(ch, cur, demands)
-			return s, 0, err
-		},
-		Rebind: func(t Topology) error {
-			cur = t.Links
-			return nil
-		},
-	}
-}
-
-// NewFanZhangScheduler returns the Fan-Zhang-style length-class
-// approximation scheduler as an epoch scheduler: every epoch partitions the
-// backlogged links into geometric length classes and schedules each class
-// separately (sched.ApproxFanZhang), at zero (genie) control cost. Adaptive
-// under topology dynamics via Rebind, like the other centralized baselines.
-func NewFanZhangScheduler(ch phys.Engine, links []phys.Link) Scheduler {
-	cur := links
-	return Scheduler{
-		Name: "fanzhang",
-		Build: func(demands []int, _ int) (*sched.Schedule, des.Time, error) {
-			s, err := sched.ApproxFanZhang(ch, cur, demands)
-			return s, 0, err
-		},
-		Rebind: func(t Topology) error {
-			cur = t.Links
-			return nil
-		},
-	}
-}
-
-// NewGreedyMultiScheduler is NewGreedyScheduler over cs.NumChannels()
-// orthogonal channels and numRadios radios per node: every epoch re-runs
-// sched.GreedyPhysicalMulti against the backlog snapshot at zero (genie)
-// control cost. With one channel and one radio it builds exactly the
-// schedules NewGreedyScheduler would.
-func NewGreedyMultiScheduler(cs *phys.ChannelSet, numRadios int, links []phys.Link, ord sched.Ordering) Scheduler {
-	return NewGreedyMultiEngineScheduler(cs.Base(), cs.NumChannels(), numRadios, links, ord)
-}
-
-// NewGreedyMultiEngineScheduler is NewGreedyMultiScheduler over any
-// interference engine: channels orthogonal copies of eng, numRadios radios
-// per node.
-func NewGreedyMultiEngineScheduler(eng phys.Engine, channels, numRadios int, links []phys.Link, ord sched.Ordering) Scheduler {
-	cur := links
-	return Scheduler{
-		Name: fmt.Sprintf("greedy(%v,C=%d)", ord, channels),
-		Build: func(demands []int, _ int) (*sched.Schedule, des.Time, error) {
-			s, err := sched.GreedyPhysicalMultiEngine(eng, channels, numRadios, cur, demands, ord)
+			s, err := build(eng, cur, demands)
 			return s, 0, err
 		},
 		Rebind: func(t Topology) error {
@@ -244,29 +173,7 @@ func NewTDMAScheduler(links []phys.Link) Scheduler {
 	}
 }
 
-// ProtocolSchedulerConfig parameterizes a distributed epoch scheduler.
-type ProtocolSchedulerConfig struct {
-	Channel *phys.Channel
-	Sens    *graph.Graph // sensitivity graph (who hears whom)
-	Links   []phys.Link
-	K       int // SCREAM length; 0 derives ID(G_S) from Sens
-	Timing  core.Timing
-	Variant core.Variant
-	P       float64 // PDD activation probability
-	Seed    int64   // per-epoch RNG seeds derive from this
-	// Channels is the number of orthogonal data channels each epoch's
-	// protocol run schedules over (0 or 1 = the single-channel protocol);
-	// Radios is the per-node radio budget (0 = 1). See core.Config.
-	Channels int
-	Radios   int
-	// Metrics and Trace, when non-nil, are forwarded into every epoch's
-	// core.Config — each protocol run then publishes its counters and
-	// emits its trace events. See core.Config.Metrics/Trace.
-	Metrics *obs.Registry
-	Trace   *obs.Tracer
-}
-
-// NewProtocolScheduler returns FDD or PDD as an epoch scheduler. Every epoch
+// protocolScheduler returns FDD or PDD as an epoch scheduler. Every epoch
 // re-runs the full distributed protocol on a fresh ideal backend against the
 // backlog snapshot, and the returned control cost is the protocol's real
 // simulated execution time (core.Result.ExecTime) — the price the network
@@ -275,57 +182,60 @@ type ProtocolSchedulerConfig struct {
 // The scheduler is adaptive under topology dynamics: Rebind rebuilds the
 // backend over the refreshed sensitivity graph with the SCREAM length
 // re-validated against the interference diameter restricted to the alive
-// nodes (cfg.K acts as a floor). When the alive sensitivity graph is
+// nodes (env.K acts as a floor). env.Channels and env.Radios reach the
+// protocol only when env.Channels > 1; otherwise it runs single-channel. When the alive sensitivity graph is
 // disconnected, Rebind returns ErrControlUnavailable and the epoch driver
 // keeps the previous schedule until connectivity returns.
-func NewProtocolScheduler(cfg ProtocolSchedulerConfig) (Scheduler, error) {
-	tm := cfg.Timing
+func protocolScheduler(env SchedulerEnv, v core.Variant) (Scheduler, error) {
+	tm := env.Timing
 	if tm == (core.Timing{}) {
 		tm = core.DefaultTiming()
 	}
-	k := cfg.K
+	k := env.K
 	if k == 0 {
-		k = cfg.Sens.Diameter()
+		k = env.Sens.Diameter()
 		if k <= 0 {
 			return Scheduler{}, fmt.Errorf("flow: sensitivity graph not strongly connected")
 		}
 	}
-	name := cfg.Variant.String()
-	if cfg.Variant == core.PDD {
-		if cfg.P <= 0 || cfg.P > 1 {
-			return Scheduler{}, fmt.Errorf("flow: PDD needs probability in (0,1], got %v", cfg.P)
+	name := v.String()
+	if v == core.PDD {
+		if env.P <= 0 || env.P > 1 {
+			return Scheduler{}, fmt.Errorf("flow: PDD needs probability in (0,1], got %v", env.P)
 		}
-		name = fmt.Sprintf("PDD(p=%.2f)", cfg.P)
+		name = fmt.Sprintf("PDD(p=%.2f)", env.P)
 	}
-	if cfg.Channels > 1 {
-		name = fmt.Sprintf("%s(C=%d)", name, cfg.Channels)
+	channels, radios := 0, 0
+	if env.Channels > 1 {
+		channels, radios = env.Channels, env.Radios
+		name = fmt.Sprintf("%s(C=%d)", name, channels)
 	}
 	// Build (and validate) the backend once; every epoch clones it, which
 	// shares the sensitivity adjacency but gives the run fresh time
 	// accounting and engine state, instead of re-deriving the adjacency and
 	// re-checking the interference diameter per epoch.
-	proto, err := core.NewIdealBackend(cfg.Channel, cfg.Sens, k, tm, false)
+	proto, err := core.NewIdealBackend(env.Channel, env.Sens, k, tm, false)
 	if err != nil {
 		return Scheduler{}, err
 	}
-	links := cfg.Links
+	links := env.Links
 	return Scheduler{
 		Name: name,
 		Build: func(demands []int, epoch int) (*sched.Schedule, des.Time, error) {
 			b := proto.Clone()
 			run := core.Config{
-				Variant:     cfg.Variant,
+				Variant:     v,
 				Links:       links,
 				Demands:     demands,
 				Backend:     b,
-				NumChannels: cfg.Channels,
-				NumRadios:   cfg.Radios,
-				Metrics:     cfg.Metrics,
-				Trace:       cfg.Trace,
+				NumChannels: channels,
+				NumRadios:   radios,
+				Metrics:     env.Metrics,
+				Trace:       env.Trace,
 			}
-			if cfg.Variant == core.PDD {
-				run.Probability = cfg.P
-				run.RNG = rand.New(rand.NewSource(DeriveSeed(cfg.Seed, int64(epoch))))
+			if v == core.PDD {
+				run.Probability = env.P
+				run.RNG = rand.New(rand.NewSource(DeriveSeed(env.Seed, int64(epoch))))
 			}
 			res, err := core.Run(run)
 			if err != nil {
@@ -334,9 +244,9 @@ func NewProtocolScheduler(cfg ProtocolSchedulerConfig) (Scheduler, error) {
 			return res.Schedule, res.ExecTime, nil
 		},
 		Rebind: func(t Topology) error {
-			// cfg.K is a floor; the backend raises the SCREAM length to the
+			// env.K is a floor; the backend raises the SCREAM length to the
 			// interference diameter among the alive nodes when needed.
-			b, err := core.NewIdealBackendAmong(cfg.Channel, t.Sens, t.Alive, cfg.K, tm)
+			b, err := core.NewIdealBackendAmong(env.Channel, t.Sens, t.Alive, env.K, tm)
 			if err != nil {
 				if errors.Is(err, core.ErrSensDisconnected) {
 					return ErrControlUnavailable

@@ -381,6 +381,10 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		"{not json",
 		`{"horizon_secs": 1}`,
 		`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30}, "traffic": {"kind": "poisson", "load": 0.5}, "scheduler": "astrology", "horizon_sec": 1}`,
+		// A single-channel scheduler on two channels, and more channels than
+		// nodes, are refused at admission rather than failing mid-stream.
+		`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30}, "traffic": {"kind": "poisson", "load": 0.5}, "scheduler": "maxweight", "channels": 2, "horizon_sec": 1}`,
+		`{"topology": {"kind": "grid", "rows": 4, "cols": 4, "step_m": 30}, "traffic": {"kind": "poisson", "load": 0.5}, "channels": 2000000000, "horizon_sec": 1}`,
 	} {
 		resp, err := http.Post(ts.URL+"/api/v1/run", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -2,6 +2,7 @@ package scream
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -12,41 +13,28 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// obsFlowOptions is the pinned scenario shared by the conservation and
-// golden-trace tests: 4x4 grid, FDD (so the analytic/measured protocol
-// cross-check exercises real SCREAMs and handshakes), bounded queues so
-// drops occur, CBR arrivals for an arrival count independent of RNG draws.
-func obsFlowOptions(t *testing.T, m *Mesh) FlowOptions {
+// obsFlowSpec is the pinned scenario shared by the conservation and
+// golden-trace tests, run on flowTestMesh: FDD (so the analytic/measured
+// protocol cross-check exercises real SCREAMs and handshakes), bounded
+// queues so drops occur, CBR arrivals for an arrival count independent of
+// RNG draws, overloaded at 1.5x the static capacity.
+func obsFlowSpec() ScenarioSpec {
+	spec := testSpec()
+	spec.Scheduler = "fdd"
+	spec.Traffic = TrafficSpec{Kind: "cbr", Load: 1.5}
+	spec.MaxQueue = 8
+	return spec
+}
+
+// runObsFlow runs obsFlowSpec on a fresh flowTestMesh with the given hooks.
+func runObsFlow(t *testing.T, spec ScenarioSpec, o RunOptions) *FlowResult {
 	t.Helper()
-	frame, err := m.FlowFrameTime(Timing{})
+	o.Mesh = flowTestMesh(t)
+	res, err := RunWith(context.Background(), spec, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rate := 1.5 / frame.Seconds() // overloaded: exercises the queue cap
-	isGW := make(map[int]bool)
-	for _, g := range m.Gateways() {
-		isGW[g] = true
-	}
-	arrivals := make([]Arrival, m.NumNodes())
-	for u := range arrivals {
-		if isGW[u] {
-			continue
-		}
-		a, err := NewCBR(rate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		arrivals[u] = a
-	}
-	return FlowOptions{
-		Scheduler:      FlowFDD,
-		Arrivals:       arrivals,
-		Horizon:        300 * Millisecond,
-		Seed:           7,
-		MaxQueue:       8,
-		MaxService:     8,
-		FramesPerEpoch: 8,
-	}
+	return res
 }
 
 func counter(t *testing.T, r *ObsRegistry, name string) int64 {
@@ -65,14 +53,8 @@ func counter(t *testing.T, r *ObsRegistry, name string) int64 {
 // not tolerances — any instrumentation drift (a counter bumped twice, a path
 // not counted) breaks the identity immediately.
 func TestObsConservation(t *testing.T) {
-	m := flowTestMesh(t)
 	reg := NewObsRegistry()
-	opts := obsFlowOptions(t, m)
-	opts.Metrics = reg
-	res, err := RunFlow(m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runObsFlow(t, obsFlowSpec(), RunOptions{Metrics: reg})
 
 	offered := counter(t, reg, "scream_flow_offered_total")
 	delivered := counter(t, reg, "scream_flow_delivered_total")
@@ -106,13 +88,8 @@ func TestObsConservation(t *testing.T) {
 // check that the simulator bills control overhead at precisely the paper's
 // cost model — measured in ticks, asserted with ==.
 func TestObsTimingCrossCheck(t *testing.T) {
-	m := flowTestMesh(t)
 	reg := NewObsRegistry()
-	opts := obsFlowOptions(t, m)
-	opts.Metrics = reg
-	if _, err := RunFlow(m, opts); err != nil {
-		t.Fatal(err)
-	}
+	runObsFlow(t, obsFlowSpec(), RunOptions{Metrics: reg})
 
 	screamsMeasured := counter(t, reg, "scream_core_screams_measured_total")
 	screamsAnalytic := counter(t, reg, "scream_core_screams_total")
@@ -141,19 +118,9 @@ func TestObsTimingCrossCheck(t *testing.T) {
 // same scenario with and without a registry attached must produce an
 // identical Result — metrics are write-only and can never feed back.
 func TestObsDisabledIdenticalResults(t *testing.T) {
-	m := flowTestMesh(t)
-	base, err := RunFlow(m, obsFlowOptions(t, m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := obsFlowOptions(t, m)
-	opts.Metrics = NewObsRegistry()
+	base := runObsFlow(t, obsFlowSpec(), RunOptions{})
 	var buf bytes.Buffer
-	opts.Trace = NewObsTracer(&buf)
-	instrumented, err := RunFlow(m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	instrumented := runObsFlow(t, obsFlowSpec(), RunOptions{Metrics: NewObsRegistry(), Trace: NewObsTracer(&buf)})
 	if *base != *instrumented {
 		t.Fatalf("observability changed the result:\nbase:         %+v\ninstrumented: %+v", *base, *instrumented)
 	}
@@ -165,16 +132,13 @@ func TestObsDisabledIdenticalResults(t *testing.T) {
 // stays off), and the golden file documents the schema in the repository.
 // Regenerate with: go test -run TestObsTraceGolden -update
 func TestObsTraceGolden(t *testing.T) {
-	m := flowTestMesh(t)
 	emit := func() []byte {
 		var buf bytes.Buffer
-		opts := obsFlowOptions(t, m)
-		opts.Horizon = 60 * Millisecond // a few epochs; keeps the golden file small
-		opts.Trace = NewObsTracer(&buf)
-		if _, err := RunFlow(m, opts); err != nil {
-			t.Fatal(err)
-		}
-		if err := opts.Trace.Flush(); err != nil {
+		spec := obsFlowSpec()
+		spec.HorizonSec = 0.06 // a few epochs; keeps the golden file small
+		trace := NewObsTracer(&buf)
+		runObsFlow(t, spec, RunOptions{Trace: trace})
+		if err := trace.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -39,8 +39,8 @@ func NewObsTracer(w io.Writer) *ObsTracer { return obs.NewTracer(w) }
 
 // EnableRuntimeMetrics wires the process-global instrumentation points into
 // r: the phys slot-engine counters, the sched construction counters, and
-// the process-default registry that RunFlow falls back to when
-// FlowOptions.Metrics is unset. Pass nil to detach everything. Intended to
+// the process-default registry that a run falls back to when
+// RunOptions.Metrics is unset. Pass nil to detach everything. Intended to
 // be called once at startup by a CLI enabling observability; tests that
 // need isolation pass a private registry via the per-run options instead.
 func EnableRuntimeMetrics(r *ObsRegistry) {

@@ -15,7 +15,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
+
+	"scream/internal/dynam"
+	"scream/internal/traffic"
 )
 
 // TopologySpec describes the mesh deployment of a scenario.
@@ -170,8 +174,9 @@ func (i InterferenceSpec) engineName() string {
 
 // ScenarioSpec is a complete, serializable flow-simulation scenario: the JSON
 // document screamd accepts on /api/v1/run and flowsim loads with -scenario.
-// The zero values of the run knobs keep FlowOptions' defaults (FramesPerEpoch
-// 0 = 1, MaxService 0 = unbounded, ...).
+// The zero values of the run knobs keep the simulator's defaults
+// (FramesPerEpoch 0 = 1, MaxService 0 = unbounded, MaxQueue 0 = unbounded,
+// IdleWaitSec 0 = one handshake slot).
 type ScenarioSpec struct {
 	// Name is a free-form label echoed in daemon session listings.
 	Name     string       `json:"name,omitempty"`
@@ -193,7 +198,12 @@ type ScenarioSpec struct {
 	MaxQueue       int     `json:"max_queue,omitempty"`
 	IdleWaitSec    float64 `json:"idle_wait_sec,omitempty"`
 	// Channels is the orthogonal data channel count (0 or 1 =
-	// single-channel).
+	// single-channel). With more channels every scheduler packs each slot
+	// across the channel set — per-channel SINR feasibility, per-node radio
+	// budget from RadioSpec.NumRadios — and the distributed schedulers pay
+	// their control traffic on channel 0. Only schedulers whose
+	// SchedulerInfo.MultiChannel is set accept more than one channel, and
+	// the count may not exceed the topology's node count.
 	Channels int           `json:"channels,omitempty"`
 	Dynamics *DynamicsSpec `json:"dynamics,omitempty"`
 	// Interference selects the interference engine (nil = the exact dense
@@ -287,9 +297,11 @@ func (s ScenarioSpec) SchedulerName() string {
 }
 
 // Validate checks the spec for structural errors: unknown kinds, missing
-// required knobs, contradictory load settings. Run validates implicitly.
+// required knobs, contradictory load settings, a channel count the scheduler
+// or the topology cannot carry. Run validates implicitly.
 func (s ScenarioSpec) Validate() error {
 	t := s.Topology
+	nodes := t.Nodes
 	switch t.Kind {
 	case "grid":
 		if t.Rows <= 0 || t.Cols <= 0 {
@@ -297,6 +309,12 @@ func (s ScenarioSpec) Validate() error {
 		}
 		if t.StepMeters <= 0 {
 			return fmt.Errorf("scream: scenario: grid topology needs step_m > 0")
+		}
+		// rows x cols, saturating instead of wrapping: 2^32 x 2^32 must not
+		// come out as 0 nodes.
+		nodes = math.MaxInt
+		if t.Rows <= math.MaxInt/t.Cols {
+			nodes = t.Rows * t.Cols
 		}
 	case "uniform":
 		if t.Nodes <= 0 || t.SideMeters <= 0 {
@@ -328,7 +346,8 @@ func (s ScenarioSpec) Validate() error {
 		return fmt.Errorf("scream: scenario: traffic needs load or rate_pps > 0")
 	}
 	name := s.SchedulerName()
-	if _, err := SchedulerByName(name); err != nil {
+	info, err := SchedulerByName(name)
+	if err != nil {
 		return err
 	}
 	if name == "pdd" && (s.P <= 0 || s.P > 1) {
@@ -343,10 +362,14 @@ func (s ScenarioSpec) Validate() error {
 	if s.Channels < 0 {
 		return fmt.Errorf("scream: scenario: channels must be non-negative")
 	}
-	if s.Dynamics != nil {
-		if _, err := s.Dynamics.options(); err != nil {
-			return err
-		}
+	if s.Channels > 1 && !info.MultiChannel {
+		return fmt.Errorf("scream: scenario: scheduler %q is single-channel only, got channels = %d", name, s.Channels)
+	}
+	if s.Channels > nodes {
+		return fmt.Errorf("scream: scenario: channels = %d exceeds the topology's %d nodes", s.Channels, nodes)
+	}
+	if _, err := s.Dynamics.config(secsToSim(s.HorizonSec), s.Seed); err != nil {
+		return err
 	}
 	if s.Interference != nil {
 		i := s.Interference
@@ -365,7 +388,7 @@ func (s ScenarioSpec) Validate() error {
 			if s.Topology.Radio != nil && s.Topology.Radio.ShadowSigmaDB > 0 {
 				return fmt.Errorf("scream: scenario: the spatial engine does not support shadowing; use the dense engine")
 			}
-			if def, err := flowSchedulerDistributed(name); err == nil && def {
+			if info.Distributed {
 				return fmt.Errorf("scream: scenario: scheduler %q requires the dense interference engine", name)
 			}
 		}
@@ -406,18 +429,6 @@ func (s ScenarioSpec) validateDurations() error {
 		}
 	}
 	return nil
-}
-
-// flowSchedulerDistributed reports whether the named scheduler is one of the
-// distributed protocols (which simulate real radios over the exact channel
-// and therefore reject a non-dense engine).
-func flowSchedulerDistributed(name string) (bool, error) {
-	for _, s := range Schedulers() {
-		if s.Name == name {
-			return s.Distributed, nil
-		}
-	}
-	return false, fmt.Errorf("scream: unknown scheduler %q", name)
 }
 
 // Mesh builds the scenario's deployment (topology, routing forest, demands).
@@ -470,7 +481,7 @@ func (s ScenarioSpec) Mesh() (*Mesh, error) {
 // arrivals builds the per-node arrival processes, replicating the flowsim
 // semantics: Zipf multipliers are drawn for source nodes only (normalizing
 // over gateways would shed their mass and under-offer the promised load).
-func (s ScenarioSpec) arrivals(m *Mesh, tm Timing) ([]Arrival, error) {
+func (s ScenarioSpec) arrivals(m *Mesh, tm Timing) ([]traffic.Arrival, error) {
 	rate := s.Traffic.RatePps
 	if s.Traffic.Load > 0 {
 		frame, err := m.FlowFrameTime(tm)
@@ -498,7 +509,7 @@ func (s ScenarioSpec) arrivals(m *Mesh, tm Timing) ([]Arrival, error) {
 		if zmax == 0 {
 			zmax = 32
 		}
-		rates, err := HotspotRates(n-len(gateways), zs, 1, zmax, s.Seed)
+		rates, err := traffic.HotspotRates(n-len(gateways), zs, 1, zmax, rand.New(rand.NewSource(s.Seed)))
 		if err != nil {
 			return nil, err
 		}
@@ -523,7 +534,7 @@ func (s ScenarioSpec) arrivals(m *Mesh, tm Timing) ([]Arrival, error) {
 	if meanOff == 0 {
 		meanOff = 0.15
 	}
-	arrivals := make([]Arrival, n)
+	arrivals := make([]traffic.Arrival, n)
 	for u := 0; u < n; u++ {
 		if isGW[u] {
 			continue
@@ -532,15 +543,15 @@ func (s ScenarioSpec) arrivals(m *Mesh, tm Timing) ([]Arrival, error) {
 		if r <= 0 {
 			continue
 		}
-		var a Arrival
+		var a traffic.Arrival
 		var err error
 		switch s.Traffic.Kind {
 		case "cbr":
-			a, err = NewCBR(r)
+			a, err = traffic.NewCBR(r)
 		case "poisson", "zipf":
-			a, err = NewPoisson(r)
+			a, err = traffic.NewPoisson(r)
 		case "bursty":
-			a, err = NewBursty(peak*r, secsToSim(meanOn), secsToSim(meanOff))
+			a, err = traffic.NewBursty(peak*r, secsToSim(meanOn), secsToSim(meanOff))
 		}
 		if err != nil {
 			return nil, err
@@ -550,33 +561,38 @@ func (s ScenarioSpec) arrivals(m *Mesh, tm Timing) ([]Arrival, error) {
 	return arrivals, nil
 }
 
-// options converts a dynamics spec to DynamicsOptions, mapping an inert spec
-// (no churn, no mobility) to nil so the run takes the identical static path.
-func (d *DynamicsSpec) options() (*DynamicsOptions, error) {
+// config converts a dynamics spec to the dynamics world's configuration over
+// the run's horizon and seed. Events take effect at epoch boundaries: queues
+// on dead nodes are dropped, the routing forest is repaired incrementally
+// (full rebuild on partition or gateway outage), adaptive schedulers re-plan
+// on the repaired topology, and the static TDMA frame keeps its structure
+// with dead-endpoint transmissions suppressed. An inert spec (no churn, no
+// mobility) maps to nil so the run takes the identical static path.
+func (d *DynamicsSpec) config(horizon SimTime, seed int64) (*dynam.Config, error) {
 	if d == nil {
 		return nil, nil
 	}
-	mob := MobilityNone
+	var mob dynam.Mobility
 	switch d.Mobility {
 	case "", "none":
 	case "waypoint":
-		mob = MobilityWaypoint
+		mob = dynam.RandomWaypoint{SpeedMps: d.SpeedMps, Pause: secsToSim(d.PauseSec)}
 	case "drift":
-		mob = MobilityDrift
+		mob = dynam.Drift{SpeedMps: d.SpeedMps}
 	default:
 		return nil, fmt.Errorf("scream: scenario: unknown mobility model %q (valid: none, waypoint, drift)", d.Mobility)
 	}
-	if d.FailRate == 0 && mob == MobilityNone {
+	if d.FailRate == 0 && mob == nil {
 		return nil, nil
 	}
-	return &DynamicsOptions{
+	return &dynam.Config{
 		FailRate:     d.FailRate,
 		MeanDowntime: secsToSim(d.MeanDowntimeSec),
 		FailGateways: d.FailGateways,
 		Mobility:     mob,
-		SpeedMps:     d.SpeedMps,
-		Pause:        secsToSim(d.PauseSec),
 		MoveInterval: secsToSim(d.MoveIntervalSec),
+		Horizon:      horizon,
+		Seed:         seed,
 	}, nil
 }
 
@@ -584,15 +600,29 @@ func (d *DynamicsSpec) options() (*DynamicsOptions, error) {
 func secsToSim(x float64) SimTime { return SimTime(x * float64(Second)) }
 
 // RunOptions carries the non-serializable hooks of RunWith — everything a
-// scenario run can take beyond the spec itself.
+// scenario run can take beyond the spec itself. None of them can change a
+// result.
 type RunOptions struct {
-	// OnEpoch streams per-epoch progress (see FlowOptions.OnEpoch).
+	// OnEpoch, when non-nil, is called synchronously after every built
+	// epoch's data phase with a progress snapshot — the streaming hook. The
+	// callback must treat the update as read-only.
 	OnEpoch func(EpochUpdate)
-	// Metrics/Trace are the observability sinks (see FlowOptions).
+	// Metrics, when non-nil, receives live counters from every layer the
+	// run touches (core protocol, flow driver, dynamics). When nil, the run
+	// falls back to the process-default registry installed by
+	// EnableRuntimeMetrics — still nil by default, costing nothing.
 	Metrics *ObsRegistry
-	Trace   *ObsTracer
-	// Perf opts into wall-clock sampling of the schedule-build and
-	// epoch-drive hot paths (see FlowOptions.Perf).
+	// Trace, when non-nil, receives structured JSONL events — the schema-v2
+	// span hierarchy (run ▸ epoch ▸ schedule_build ▸ slot) plus point events
+	// (protocol handshakes, churn and repair) — timestamped in simulated
+	// ticks.
+	Trace *ObsTracer
+	// Perf opts into wall-clock sampling of the run's hot paths: each
+	// schedule build and each epoch drive is timed into scream_perf_*
+	// histograms in the effective registry, and span_end trace lines gain a
+	// sampled wall_ns field. Simulated results stay bit-identical, but the
+	// trace bytes stop being deterministic, so golden-trace comparisons
+	// must keep this off.
 	Perf bool
 	// Mesh, when non-nil, skips building spec.Topology and runs on the given
 	// mesh instead — the daemon's preloaded-scenario path, where each session
@@ -608,7 +638,8 @@ func Run(ctx context.Context, spec ScenarioSpec) (*FlowResult, error) {
 }
 
 // RunWith is Run with hooks: epoch streaming, observability sinks, and an
-// optional pre-built mesh.
+// optional pre-built mesh. It validates the spec, builds the mesh and the
+// arrival processes, and hands them to the run half (runFlow).
 func RunWith(ctx context.Context, spec ScenarioSpec, o RunOptions) (*FlowResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -621,35 +652,9 @@ func RunWith(ctx context.Context, spec ScenarioSpec, o RunOptions) (*FlowResult,
 			return nil, err
 		}
 	}
-	tm := DefaultTiming()
-	arrivals, err := spec.arrivals(m, tm)
+	arrivals, err := spec.arrivals(m, DefaultTiming())
 	if err != nil {
 		return nil, err
 	}
-	scheduler, err := SchedulerByName(spec.SchedulerName())
-	if err != nil {
-		return nil, err
-	}
-	dyn, err := spec.Dynamics.options()
-	if err != nil {
-		return nil, err
-	}
-	return RunFlowContext(ctx, m, FlowOptions{
-		Scheduler:      scheduler,
-		P:              spec.P,
-		K:              spec.K,
-		Arrivals:       arrivals,
-		Horizon:        secsToSim(spec.HorizonSec),
-		Seed:           spec.Seed,
-		MaxQueue:       spec.MaxQueue,
-		MaxService:     spec.MaxService,
-		FramesPerEpoch: spec.FramesPerEpoch,
-		IdleWait:       secsToSim(spec.IdleWaitSec),
-		Dynamics:       dyn,
-		Channels:       spec.Channels,
-		Metrics:        o.Metrics,
-		Trace:          o.Trace,
-		Perf:           o.Perf,
-		OnEpoch:        o.OnEpoch,
-	})
+	return runFlow(ctx, spec, m, arrivals, o)
 }

@@ -94,6 +94,14 @@ func TestScenarioValidate(t *testing.T) {
 		{"pdd without p", func(s *ScenarioSpec) { s.Scheduler = "pdd" }, "pdd needs p"},
 		{"no horizon", func(s *ScenarioSpec) { s.HorizonSec = 0 }, "horizon_sec"},
 		{"bad mobility", func(s *ScenarioSpec) { s.Dynamics = &DynamicsSpec{Mobility: "teleport"} }, "teleport"},
+		{"maxweight on two channels", func(s *ScenarioSpec) { s.Scheduler, s.Channels = "maxweight", 2 }, "single-channel"},
+		{"fanzhang on two channels", func(s *ScenarioSpec) { s.Scheduler, s.Channels = "fanzhang", 2 }, "single-channel"},
+		{"more channels than nodes", func(s *ScenarioSpec) { s.Channels = 17 }, "16 nodes"},
+		{"two billion channels", func(s *ScenarioSpec) { s.Channels = 2000000000 }, "16 nodes"},
+		{"more channels than uniform nodes", func(s *ScenarioSpec) {
+			s.Topology = TopologySpec{Kind: "uniform", Nodes: 30, SideMeters: 200}
+			s.Channels = 31
+		}, "30 nodes"},
 	}
 	for _, tc := range bad {
 		spec := testSpec()
@@ -105,6 +113,23 @@ func TestScenarioValidate(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+	good := []struct {
+		name   string
+		mutate func(*ScenarioSpec)
+	}{
+		{"single-channel scheduler on one channel", func(s *ScenarioSpec) { s.Scheduler, s.Channels = "maxweight", 1 }},
+		{"one channel per node", func(s *ScenarioSpec) { s.Channels = 16 }},
+		// rows x cols wraps to 0 in int arithmetic; the node count must
+		// saturate instead, so two channels still fit.
+		{"2^32 x 2^32 grid", func(s *ScenarioSpec) { s.Topology.Rows, s.Topology.Cols, s.Channels = 1<<32, 1<<32, 2 }},
+	}
+	for _, tc := range good {
+		spec := testSpec()
+		tc.mutate(&spec)
+		if err := spec.Validate(); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
 		}
 	}
 	// The unknown-scheduler error lists the valid names.
