@@ -8,8 +8,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-
-	"scream/internal/phys"
 )
 
 func runMultiVariant(t *testing.T, fx *fixture, variant Variant, channels, radios int, seed int64) *Result {
@@ -42,12 +40,8 @@ func TestRunMultiChannelFeasibleAndShorter(t *testing.T) {
 		}
 		prev := single.Schedule.Length()
 		for _, c := range []int{2, 4} {
-			cs, err := phys.NewChannelSet(fx.net.Channel, c)
-			if err != nil {
-				t.Fatal(err)
-			}
 			res := runMultiVariant(t, fx, variant, c, 2, 1)
-			if err := res.Schedule.VerifyMulti(cs, 2, fx.links, fx.demands); err != nil {
+			if err := res.Schedule.VerifyMulti(fx.net.Channel, c, 2, fx.links, fx.demands); err != nil {
 				t.Fatalf("%v C=%d: %v", variant, c, err)
 			}
 			if got := res.Schedule.NumChannelsUsed(); got > c {
@@ -85,11 +79,7 @@ func TestRunMultiChannelRadioBudgetRespected(t *testing.T) {
 				}
 			}
 		}
-		cs, err := phys.NewChannelSet(fx.net.Channel, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.VerifyMulti(cs, radios, fx.links, fx.demands); err != nil {
+		if err := s.VerifyMulti(fx.net.Channel, 3, radios, fx.links, fx.demands); err != nil {
 			t.Fatalf("radios=%d: %v", radios, err)
 		}
 	}

@@ -17,7 +17,6 @@ import (
 	"scream/internal/core"
 	"scream/internal/des"
 	"scream/internal/flow"
-	"scream/internal/phys"
 	"scream/internal/sched"
 	"scream/internal/stats"
 	"scream/internal/traffic"
@@ -68,19 +67,15 @@ func channelsCurveNames() []string {
 // static demand vector and returns the four schedule lengths, verifying
 // every multi-channel schedule against the naive per-channel model.
 func channelsScheduleLengths(s *Scenario, tm core.Timing, channels int, seed int64) ([]float64, error) {
-	cs, err := phys.NewChannelSet(s.Net.Channel, channels)
-	if err != nil {
-		return nil, err
-	}
 	verify := func(name string, sc *sched.Schedule) error {
 		if channels > 1 {
-			if err := sc.VerifyMulti(cs, channelsRadios, s.Links, s.Demands); err != nil {
+			if err := sc.VerifyMulti(s.Net.Channel, channels, channelsRadios, s.Links, s.Demands); err != nil {
 				return fmt.Errorf("%s C=%d: %w", name, channels, err)
 			}
 		}
 		return nil
 	}
-	greedy, err := sched.GreedyPhysicalMulti(cs, channelsRadios, s.Links, s.Demands, sched.ByHeadIDDesc)
+	greedy, err := sched.GreedyPhysicalMulti(s.Net.Channel, channels, channelsRadios, s.Links, s.Demands, sched.ByHeadIDDesc)
 	if err != nil {
 		return nil, err
 	}

@@ -145,7 +145,7 @@ func SchedulerDefs() []SchedulerDef {
 				if channels, radios := env.Channels, env.Radios; channels > 1 {
 					return centralizedScheduler(fmt.Sprintf("greedy(%v,C=%d)", ord, channels), env.engine(), env.Links,
 						func(eng phys.Engine, links []phys.Link, demands []int) (*sched.Schedule, error) {
-							return sched.GreedyPhysicalMultiEngine(eng, channels, radios, links, demands, ord)
+							return sched.GreedyPhysicalMulti(eng, channels, radios, links, demands, ord)
 						}), nil
 				}
 				return centralizedScheduler(fmt.Sprintf("greedy(%v)", ord), env.engine(), env.Links,

@@ -2,101 +2,53 @@ package phys
 
 // Property tests for the multi-channel slot engine: MultiSlotState must
 // agree decision-for-decision with the naive per-channel FeasibleSet
-// reference (FeasibleAssignment) over randomized add/remove/rollback
-// sequences, the radio budget must bind exactly, and Mark/Rollback must
-// restore every channel's sums and the radio counts exactly.
+// reference (FeasibleAssignment) over randomized add sequences, and the
+// radio budget must bind exactly.
 
 import (
 	"math/rand"
 	"testing"
 )
 
-func TestNewChannelSetValidation(t *testing.T) {
-	ch := lineChannel(t, 8, 35, 20)
-	if _, err := NewChannelSet(nil, 2); err == nil {
-		t.Fatal("nil base accepted")
-	}
-	if _, err := NewChannelSet(ch, 0); err == nil {
-		t.Fatal("zero channels accepted")
-	}
-	cs, err := NewChannelSet(ch, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.NumChannels() != 3 || cs.Base() != ch || cs.NumNodes() != 8 {
-		t.Fatalf("ChannelSet accessors wrong: %d channels, %d nodes", cs.NumChannels(), cs.NumNodes())
-	}
-}
-
 // TestMultiSlotStateMatchesNaiveFuzz drives a MultiSlotState through random
-// CanAdd-gated adds, removes and mark/rollback cycles and asserts at every
-// step that CanAdd(l, ch) equals FeasibleAssignment on the would-be union,
-// for both tight (1) and loose (2) radio budgets.
+// CanAdd-gated add sequences and asserts at every step that CanAdd(l, ch)
+// equals FeasibleAssignment on the would-be union, for both tight (1) and
+// loose (2) radio budgets.
 func TestMultiSlotStateMatchesNaiveFuzz(t *testing.T) {
 	ch := lineChannel(t, 24, 35, 20)
+	const channels = 3
 	for _, radios := range []int{1, 2} {
-		cs, err := NewChannelSet(ch, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rng := rand.New(rand.NewSource(int64(100 + radios)))
-		agreeAdds, agreeRejects, removes, rollbacks := 0, 0, 0, 0
+		agreeAdds, agreeRejects := 0, 0
 		for trial := 0; trial < 150; trial++ {
-			st := NewMultiSlotState(cs, radios)
+			st := NewMultiSlotState(ch, channels, radios)
 			var mirror []Placement
-			marked := -1
-			var markedMirror []Placement
 			for op := 0; op < 40; op++ {
-				switch {
-				case len(mirror) > 0 && rng.Intn(6) == 0:
-					victim := mirror[rng.Intn(len(mirror))]
-					if !st.Remove(victim.Link, victim.Channel) {
-						t.Fatalf("radios=%d trial %d: Remove(%v) failed for a member", radios, trial, victim)
-					}
-					for i, p := range mirror {
-						if p == victim {
-							mirror = append(mirror[:i], mirror[i+1:]...)
-							break
-						}
-					}
-					marked = -1
-					removes++
-				case rng.Intn(10) == 0:
-					st.Mark()
-					marked = len(mirror)
-					markedMirror = append(markedMirror[:0], mirror...)
-				case marked >= 0 && rng.Intn(10) == 0:
-					st.Rollback()
-					mirror = append(mirror[:0], markedMirror...)
-					rollbacks++
-				default:
-					l := randomLink(rng, 24)
-					c := rng.Intn(cs.NumChannels())
-					want := cs.FeasibleAssignment(append(append([]Placement(nil), mirror...), Placement{l, c}), radios)
-					got := st.CanAdd(l, c)
-					if got != want {
-						t.Fatalf("radios=%d trial %d op %d: CanAdd(%v, ch%d) = %v, naive reference = %v (slot %v)",
-							radios, trial, op, l, c, got, want, mirror)
-					}
-					if got {
-						st.Add(l, c)
-						mirror = append(mirror, Placement{l, c})
-						agreeAdds++
-					} else {
-						agreeRejects++
-					}
+				l := randomLink(rng, 24)
+				c := rng.Intn(channels)
+				want := ch.FeasibleAssignment(channels, append(append([]Placement(nil), mirror...), Placement{l, c}), radios)
+				got := st.CanAdd(l, c)
+				if got != want {
+					t.Fatalf("radios=%d trial %d op %d: CanAdd(%v, ch%d) = %v, naive reference = %v (slot %v)",
+						radios, trial, op, l, c, got, want, mirror)
 				}
-				if st.Len() != len(mirror) {
-					t.Fatalf("radios=%d trial %d: Len %d, mirror %d", radios, trial, st.Len(), len(mirror))
+				if got {
+					st.Add(l, c)
+					mirror = append(mirror, Placement{l, c})
+					agreeAdds++
+				} else {
+					agreeRejects++
 				}
 			}
+			if got := st.Placements(); len(got) != len(mirror) {
+				t.Fatalf("radios=%d trial %d: %d placements, mirror %d", radios, trial, len(got), len(mirror))
+			}
 		}
-		if agreeAdds == 0 || agreeRejects == 0 || removes == 0 || rollbacks == 0 {
-			t.Fatalf("radios=%d: fuzz did not exercise all operations (adds %d, rejects %d, removes %d, rollbacks %d)",
-				radios, agreeAdds, agreeRejects, removes, rollbacks)
+		if agreeAdds == 0 || agreeRejects == 0 {
+			t.Fatalf("radios=%d: fuzz did not exercise both decisions (adds %d, rejects %d)",
+				radios, agreeAdds, agreeRejects)
 		}
-		t.Logf("radios=%d: %d adds, %d rejects, %d removes, %d rollbacks agreed with the naive reference",
-			radios, agreeAdds, agreeRejects, removes, rollbacks)
+		t.Logf("radios=%d: %d adds, %d rejects agreed with the naive reference", radios, agreeAdds, agreeRejects)
 	}
 }
 
@@ -106,14 +58,10 @@ func TestMultiSlotStateMatchesNaiveFuzz(t *testing.T) {
 func TestMultiSlotStateRadioSaturation(t *testing.T) {
 	// Nodes 0..23 on a line; links into/out of node 12 share that endpoint.
 	ch := lineChannel(t, 24, 35, 20)
-	cs, err := NewChannelSet(ch, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	up := Link{From: 11, To: 12}   // child -> relay
 	down := Link{From: 12, To: 13} // relay -> parent
 
-	one := NewMultiSlotState(cs, 1)
+	one := NewMultiSlotState(ch, 2, 1)
 	if !one.CanAdd(up, 0) {
 		t.Fatal("singleton link rejected")
 	}
@@ -125,7 +73,7 @@ func TestMultiSlotStateRadioSaturation(t *testing.T) {
 		t.Fatal("relay with 1 radio admitted on a second channel")
 	}
 
-	two := NewMultiSlotState(cs, 2)
+	two := NewMultiSlotState(ch, 2, 2)
 	two.Add(up, 0)
 	if !two.CanAdd(down, 1) {
 		t.Fatal("relay with 2 radios rejected on a second channel")
@@ -134,11 +82,14 @@ func TestMultiSlotStateRadioSaturation(t *testing.T) {
 	if two.CanAdd(Link{From: 12, To: 11}, 0) || two.CanAdd(Link{From: 13, To: 12}, 1) {
 		t.Fatal("third placement at a 2-radio node admitted")
 	}
-	if !cs.FeasibleAssignment(two.Placements(), 2) {
+	if !ch.FeasibleAssignment(2, two.Placements(), 2) {
 		t.Fatal("naive reference rejects the 2-radio slot the engine built")
 	}
-	if cs.FeasibleAssignment(two.Placements(), 1) {
+	if ch.FeasibleAssignment(2, two.Placements(), 1) {
 		t.Fatal("naive reference accepts a 2-placement relay under 1 radio")
+	}
+	if ch.FeasibleAssignment(1, two.Placements(), 2) {
+		t.Fatal("naive reference accepts a placement on channel 1 of 1")
 	}
 }
 
@@ -147,13 +98,9 @@ func TestMultiSlotStateRadioSaturation(t *testing.T) {
 // decisions (the fast path the single-channel figures stay on).
 func TestMultiSlotStateSingleChannelMatchesSlotState(t *testing.T) {
 	ch := lineChannel(t, 20, 35, 20)
-	cs, err := NewChannelSet(ch, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {
-		multi := NewMultiSlotState(cs, 1)
+		multi := NewMultiSlotState(ch, 1, 1)
 		single := NewSlotState(ch)
 		for op := 0; op < 25; op++ {
 			l := randomLink(rng, 20)
@@ -164,53 +111,6 @@ func TestMultiSlotStateSingleChannelMatchesSlotState(t *testing.T) {
 			if gm {
 				multi.Add(l, 0)
 				single.Add(l)
-			}
-		}
-	}
-}
-
-// TestMultiSlotStateMarkRollbackExact: rollback must restore the per-channel
-// sums bit-exactly — after rolling back a batch, re-probing any link must
-// give the same answer as a freshly built state over the kept placements.
-func TestMultiSlotStateMarkRollbackExact(t *testing.T) {
-	ch := lineChannel(t, 24, 35, 20)
-	cs, err := NewChannelSet(ch, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 100; trial++ {
-		st := NewMultiSlotState(cs, 2)
-		var kept []Placement
-		for len(kept) < 3 {
-			l := randomLink(rng, 24)
-			c := rng.Intn(2)
-			if st.CanAdd(l, c) {
-				st.Add(l, c)
-				kept = append(kept, Placement{l, c})
-			}
-		}
-		st.Mark()
-		for op := 0; op < 6; op++ {
-			l := randomLink(rng, 24)
-			c := rng.Intn(2)
-			if st.CanAdd(l, c) {
-				st.Add(l, c)
-			}
-		}
-		st.Rollback()
-		if st.Len() != len(kept) {
-			t.Fatalf("trial %d: rollback kept %d placements, want %d", trial, st.Len(), len(kept))
-		}
-		fresh := NewMultiSlotState(cs, 2)
-		for _, p := range kept {
-			fresh.Add(p.Link, p.Channel)
-		}
-		for probe := 0; probe < 20; probe++ {
-			l := randomLink(rng, 24)
-			c := rng.Intn(2)
-			if got, want := st.CanAdd(l, c), fresh.CanAdd(l, c); got != want {
-				t.Fatalf("trial %d: post-rollback CanAdd(%v, ch%d) = %v, fresh state = %v", trial, l, c, got, want)
 			}
 		}
 	}

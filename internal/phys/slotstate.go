@@ -3,25 +3,33 @@ package phys
 // SlotState is the incremental SINR feasibility engine: it maintains, for
 // one slot under construction, the running data-sub-slot and ACK-sub-slot
 // interference sums of every admitted link plus an endpoint-occupancy count
-// per node, over an interference Engine. CanAdd, Add and Remove are all O(k)
-// for a slot holding k links, against the O(k^2) of re-running
-// Channel.FeasibleSet (and O(k^2) per handshake evaluation via
-// Channel.HandshakeOutcome) from scratch; those naive routines remain the
-// reference implementations the property tests compare against.
+// per node, over an interference Engine. CanAdd and Add are O(k) for a slot
+// holding k links, against the O(k^2) of re-running Channel.FeasibleSet
+// (and O(k^2) per handshake evaluation via Channel.HandshakeOutcome) from
+// scratch; those naive routines remain the reference implementations the
+// property tests compare against. Mark/Rollback and Reset undo admissions
+// exactly — the protocols' tentative-handshake pattern.
 //
-// Two code paths serve the two engine families. When the engine is the
-// dense *Channel, every loop reads the channel's flat cached RX-power matrix
-// directly (the rx field) — the original hot path, preserved byte-for-byte
-// for both determinism and the benchmark gate. Any other Engine goes through
-// the interface: SignalMW for the favorable side of each inequality,
-// InterfMW for interference terms, so a conservative engine (one that
-// over-estimates InterfMW) only ever rejects more than the dense path.
+// CanAdd and Add keep two loop bodies for the two engine families. When the
+// engine is the dense *Channel, they read the channel's flat cached RX-power
+// matrix directly (the rx field) — the original hot path, preserved
+// byte-for-byte for both determinism and the benchmark gate. Any other
+// Engine goes through the interface: SignalMW for the favorable side of each
+// inequality, InterfMW for interference terms, so a conservative engine (one
+// that over-estimates InterfMW) only ever rejects more than the dense path.
+// The loops stay separate because both measured ways of merging them cost
+// the dense path dearly (BenchmarkSlotStateVsNaive/grid64/incremental, Go
+// 1.24 on a 2-core x86-64 Xeon: ~0.85 µs with the split loops): one generic
+// body over value-type engines went through the generic dictionary and ran
+// ~2.4x slower (~2.1 µs), and a single body branching on rx per pair ran
+// 25-40% slower (~1.05-1.3 µs). Outcomes, whose only caller runs on the
+// dense channel, has the matrix body alone.
 //
 // The sums are accumulated incrementally (in admission order) rather than
 // recomputed per query (in index order), so individual float64 sums may
 // differ from the naive path in the last ulp; every admission margin in the
-// model is orders of magnitude wider, and the property tests fuzz
-// add/remove sequences to assert the decisions always agree.
+// model is orders of magnitude wider, and the property tests fuzz operation
+// sequences to assert the decisions always agree.
 //
 // A SlotState is not safe for concurrent use.
 type SlotState struct {
@@ -63,63 +71,18 @@ type SlotState struct {
 	ackBuf   [4]float64
 }
 
-// NewSlotState returns an empty slot bound to channel c.
-func NewSlotState(c *Channel) *SlotState {
+// NewSlotState returns an empty slot bound to engine e.
+func NewSlotState(e Engine) *SlotState {
 	s := new(SlotState)
-	s.Init(c)
+	s.Init(e)
 	return s
 }
 
-// NewSlotStateDataOnly returns a slot state that ignores the ACK sub-slot
-// inequality. It exists for the ablation quantifying how much the paper's
-// link-layer-reliability extension of the interference model matters:
-// schedules it accepts may be infeasible under the full model.
-func NewSlotStateDataOnly(c *Channel) *SlotState {
-	s := new(SlotState)
-	s.InitDataOnly(c)
-	return s
-}
-
-// NewSlotStateEngine returns an empty slot bound to engine e. A dense
-// *Channel passed here takes the same matrix fast path as NewSlotState.
-func NewSlotStateEngine(e Engine) *SlotState {
-	s := new(SlotState)
-	s.InitEngine(e)
-	return s
-}
-
-// Init (re-)binds s to channel c as an empty slot. It exists so callers that
+// Init (re-)binds s to engine e as an empty slot. When e is the dense
+// *Channel the matrix fast path is selected. Init exists so callers that
 // build many slots (greedy schedulers construct one per schedule slot) can
-// hold them in a flat []SlotState without a heap allocation per slot.
-func (s *SlotState) Init(c *Channel) {
-	s.initCommon(c)
-	s.rx = c.rxMatrix()
-}
-
-// InitDataOnly is Init with the ACK sub-slot inequality disabled.
-func (s *SlotState) InitDataOnly(c *Channel) {
-	s.Init(c)
-	s.ignoreAck = true
-}
-
-// InitEngine (re-)binds s to engine e as an empty slot. When e is the dense
-// *Channel the matrix fast path is selected automatically.
-func (s *SlotState) InitEngine(e Engine) {
-	if c, ok := e.(*Channel); ok {
-		s.Init(c)
-		return
-	}
-	s.initCommon(e)
-}
-
-// InitEngineDataOnly is InitEngine with the ACK sub-slot inequality
-// disabled.
-func (s *SlotState) InitEngineDataOnly(e Engine) {
-	s.InitEngine(e)
-	s.ignoreAck = true
-}
-
-func (s *SlotState) initCommon(e Engine) {
+// hold them in slabs without a heap allocation per slot.
+func (s *SlotState) Init(e Engine) {
 	if s.eng != nil {
 		// Re-initialization: clear everything a previous life may have
 		// dirtied. Fresh (zero-value) states — e.g. slab-allocated slots in
@@ -134,6 +97,18 @@ func (s *SlotState) initCommon(e Engine) {
 	s.links = s.linksBuf[:0]
 	s.dataSum = s.dataBuf[:0]
 	s.ackSum = s.ackBuf[:0]
+	if c, ok := e.(*Channel); ok {
+		s.rx = c.rxMatrix()
+	}
+}
+
+// InitDataOnly is Init with the ACK sub-slot inequality disabled. It exists
+// for the ablation quantifying how much the paper's link-layer-reliability
+// extension of the interference model matters: slots it accepts may be
+// infeasible under the full model.
+func (s *SlotState) InitDataOnly(e Engine) {
+	s.Init(e)
+	s.ignoreAck = true
 }
 
 // Len returns the number of links currently in the slot.
@@ -256,53 +231,12 @@ func (s *SlotState) Add(l Link) {
 	}
 }
 
-// Remove deletes the first occurrence of l from the slot, subtracting its
-// contribution from every remaining sum in O(k). It reports whether l was
-// present. Removal cancels an earlier addition term-by-term, so a removed
-// link leaves the remaining sums within one rounding error of never having
-// been added; use Mark/Rollback when exact restoration matters. Remove
-// invalidates an outstanding Mark.
-func (s *SlotState) Remove(l Link) bool {
-	for i, m := range s.links {
-		if m == l {
-			s.removeAt(i)
-			return true
-		}
-	}
-	return false
-}
-
-func (s *SlotState) removeAt(idx int) {
-	l := s.links[idx]
-	s.links = append(s.links[:idx], s.links[idx+1:]...)
-	s.dataSum = append(s.dataSum[:idx], s.dataSum[idx+1:]...)
-	s.ackSum = append(s.ackSum[:idx], s.ackSum[idx+1:]...)
-	if rx := s.rx; rx != nil {
-		n := s.n
-		for i, m := range s.links {
-			s.dataSum[i] -= rx[l.From*n+m.To]
-			s.ackSum[i] -= rx[l.To*n+m.From]
-		}
-	} else {
-		eng := s.eng
-		for i, m := range s.links {
-			s.dataSum[i] -= eng.InterfMW(l.From, m.To)
-			s.ackSum[i] -= eng.InterfMW(l.To, m.From)
-		}
-	}
-	if s.busy != nil {
-		s.busy[l.From]--
-		s.busy[l.To]--
-	}
-	s.marked = -1
-}
-
 // Mark snapshots the current slot so a later Rollback can undo any Adds
 // performed after it — the protocols' tentative handshake pattern: mark,
 // admit the step's active links, evaluate Outcomes, and roll back if the
 // slot vetoes. Restoration is exact (the sums are copied, not re-derived).
 // Only one mark is outstanding at a time; a new Mark replaces the previous
-// one, and Remove or Reset invalidates it.
+// one, and Reset invalidates it.
 func (s *SlotState) Mark() {
 	s.marked = len(s.links)
 	s.savedData = append(s.savedData[:0], s.dataSum...)
@@ -351,11 +285,19 @@ func (s *SlotState) Reset() {
 // The returned slice is indexed like Links() and is reused by subsequent
 // calls.
 //
+// Outcomes needs the dense *Channel engine (it reads the RX matrix) and
+// panics on any other: its only caller, the protocols' ideal backend, runs
+// on the exact channel.
+//
 // When every link decodes its data (the common case for slots built by
 // CanAdd-gated admission), the evaluation is O(k) straight off the running
 // sums; each data failure costs one O(k) correction pass for the silent
 // ACK.
 func (s *SlotState) Outcomes() []bool {
+	rx := s.rx
+	if rx == nil {
+		panic("phys: SlotState.Outcomes needs the dense *Channel engine")
+	}
 	k := len(s.links)
 	if cap(s.out) < k {
 		s.out = make([]bool, k)
@@ -364,60 +306,32 @@ func (s *SlotState) Outcomes() []bool {
 	out := s.out[:k]
 	dataOK := s.dataOK[:k]
 	s.failed = s.failed[:0]
-	beta, noise := s.beta, s.noise
+	beta, noise, n := s.beta, s.noise, s.n
 	if s.busy == nil {
-		s.busy = make([]int32, s.n)
+		s.busy = make([]int32, n)
 		for _, l := range s.links {
 			s.busy[l.From]++
 			s.busy[l.To]++
 		}
 	}
 
-	if rx := s.rx; rx != nil {
-		n := s.n
-		// Data sub-slot. A primary-conflicted link never completes its
-		// handshake (but its sender still radiates, which the running sums
-		// already account for).
-		for i, l := range s.links {
-			if s.busy[l.From] > 1 || s.busy[l.To] > 1 {
-				dataOK[i] = false
-				s.failed = append(s.failed, i)
-				continue
-			}
-			dataOK[i] = rx[l.From*n+l.To] >= beta*(noise+s.dataSum[i])
-			if !dataOK[i] {
-				s.failed = append(s.failed, i)
-			}
-		}
-
-		// ACK sub-slot: links whose data was not decoded stay silent, so their
-		// contribution is deducted from the running all-receivers sums.
-		for i, l := range s.links {
-			if !dataOK[i] {
-				out[i] = false
-				continue
-			}
-			ackInterf := s.ackSum[i]
-			for _, j := range s.failed {
-				ackInterf -= rx[s.links[j].To*n+l.From]
-			}
-			out[i] = rx[l.To*n+l.From] >= beta*(noise+ackInterf)
-		}
-		return out
-	}
-
-	eng := s.eng
+	// Data sub-slot. A primary-conflicted link never completes its
+	// handshake (but its sender still radiates, which the running sums
+	// already account for).
 	for i, l := range s.links {
 		if s.busy[l.From] > 1 || s.busy[l.To] > 1 {
 			dataOK[i] = false
 			s.failed = append(s.failed, i)
 			continue
 		}
-		dataOK[i] = eng.SignalMW(l.From, l.To) >= beta*(noise+s.dataSum[i])
+		dataOK[i] = rx[l.From*n+l.To] >= beta*(noise+s.dataSum[i])
 		if !dataOK[i] {
 			s.failed = append(s.failed, i)
 		}
 	}
+
+	// ACK sub-slot: links whose data was not decoded stay silent, so their
+	// contribution is deducted from the running all-receivers sums.
 	for i, l := range s.links {
 		if !dataOK[i] {
 			out[i] = false
@@ -425,9 +339,9 @@ func (s *SlotState) Outcomes() []bool {
 		}
 		ackInterf := s.ackSum[i]
 		for _, j := range s.failed {
-			ackInterf -= eng.InterfMW(s.links[j].To, l.From)
+			ackInterf -= rx[s.links[j].To*n+l.From]
 		}
-		out[i] = eng.SignalMW(l.To, l.From) >= beta*(noise+ackInterf)
+		out[i] = rx[l.To*n+l.From] >= beta*(noise+ackInterf)
 	}
 	return out
 }

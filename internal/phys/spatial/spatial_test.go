@@ -90,8 +90,8 @@ func checkConservative(t *testing.T, pos []geom.Point, pw []float64, cutoffM flo
 	// keeping both slot states on the identical occupancy. Any link the
 	// spatial state admits must be admissible to the dense state too.
 	var sSpat, sDense phys.SlotState
-	sSpat.InitEngine(idx)
-	sDense.InitEngine(ch)
+	sSpat.Init(idx)
+	sDense.Init(ch)
 	for _, l := range links {
 		if sSpat.CanAdd(l) {
 			if !sDense.CanAdd(l) {
@@ -235,7 +235,7 @@ func TestSpatialConcurrentReaders(t *testing.T) {
 				sink += idx.FarFieldBoundMW(u)
 			}
 			var st phys.SlotState
-			st.InitEngine(idx)
+			st.Init(idx)
 			for u := 1; u < n; u++ {
 				l := phys.Link{From: u, To: u - 1}
 				if st.CanAdd(l) {

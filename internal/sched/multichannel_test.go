@@ -13,26 +13,16 @@ import (
 	"scream/internal/phys"
 )
 
-func multiMesh(t testing.TB, dim int, seed int64, channels int) (*phys.ChannelSet, []phys.Link, []int) {
-	t.Helper()
-	net, links, demands := testMesh(t, dim, seed)
-	cs, err := phys.NewChannelSet(net.Channel, channels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cs, links, demands
-}
-
 // TestGreedyMultiSingleChannelMatchesGreedy: the C=1, R=1 fast path must
 // reproduce GreedyPhysical exactly, slot for slot, with no channel
 // assignment recorded (so downstream encodings stay byte-identical).
 func TestGreedyMultiSingleChannelMatchesGreedy(t *testing.T) {
-	cs, links, demands := multiMesh(t, 5, 3, 1)
-	want, err := GreedyPhysical(cs.Base(), links, demands, ByHeadIDDesc)
+	net, links, demands := testMesh(t, 5, 3)
+	want, err := GreedyPhysical(net.Channel, links, demands, ByHeadIDDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := GreedyPhysicalMulti(cs, 1, links, demands, ByHeadIDDesc)
+	got, err := GreedyPhysicalMulti(net.Channel, 1, 1, links, demands, ByHeadIDDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,13 +52,13 @@ func TestGreedyMultiSingleChannelMatchesGreedy(t *testing.T) {
 // strictly shorten it (until the per-node serialization bound dominates).
 func TestGreedyMultiFeasibleAndShorter(t *testing.T) {
 	lengths := make([]int, 0, 3)
+	net, links, demands := testMesh(t, 6, 5)
 	for _, c := range []int{1, 2, 4} {
-		cs, links, demands := multiMesh(t, 6, 5, c)
-		s, err := GreedyPhysicalMulti(cs, 2, links, demands, ByHeadIDDesc)
+		s, err := GreedyPhysicalMulti(net.Channel, c, 2, links, demands, ByHeadIDDesc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.VerifyMulti(cs, 2, links, demands); err != nil {
+		if err := s.VerifyMulti(net.Channel, c, 2, links, demands); err != nil {
 			t.Fatalf("C=%d: %v", c, err)
 		}
 		if used := s.NumChannelsUsed(); used > c {
@@ -88,12 +78,12 @@ func TestGreedyMultiFeasibleAndShorter(t *testing.T) {
 // schedulable links, the schedule degenerates gracefully — radios (not
 // channels) bind, unused channels stay empty, and VerifyMulti still holds.
 func TestGreedyMultiMoreChannelsThanLinks(t *testing.T) {
-	cs, links, demands := multiMesh(t, 3, 9, 16) // 8 forest links, 16 channels
-	s, err := GreedyPhysicalMulti(cs, 2, links, demands, ByHeadIDDesc)
+	net, links, demands := testMesh(t, 3, 9) // 8 forest links, 16 channels
+	s, err := GreedyPhysicalMulti(net.Channel, 16, 2, links, demands, ByHeadIDDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.VerifyMulti(cs, 2, links, demands); err != nil {
+	if err := s.VerifyMulti(net.Channel, 16, 2, links, demands); err != nil {
 		t.Fatal(err)
 	}
 	if used := s.NumChannelsUsed(); used > 2*len(links) {
@@ -102,7 +92,7 @@ func TestGreedyMultiMoreChannelsThanLinks(t *testing.T) {
 	// With every link able to ride 2 channels per slot, total demand must be
 	// served in at most ceil(maxPerNodeLoad / 1) slots; sanity-bound it by
 	// the single-channel length instead of a closed form.
-	single, err := GreedyPhysical(cs.Base(), links, demands, ByHeadIDDesc)
+	single, err := GreedyPhysical(net.Channel, links, demands, ByHeadIDDesc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"scream/internal/phys"
@@ -279,6 +280,14 @@ func TestVerifyCatchesViolations(t *testing.T) {
 	conflict.AppendSlot([]phys.Link{l1, l2})
 	if err := conflict.Verify(net.Channel, []phys.Link{l1, l2}, []int{1, 1}); err == nil {
 		t.Error("conflicting slot must fail verification")
+	}
+	// Non-positive channel count: VerifyMulti must name the bad count, not
+	// report every placement as out of range.
+	for _, c := range []int{0, -1} {
+		err := s.VerifyMulti(net.Channel, c, 1, links, demands)
+		if err == nil || !strings.Contains(err.Error(), "channel count must be positive") {
+			t.Errorf("VerifyMulti with %d channels: got %v, want a channel-count error", c, err)
+		}
 	}
 }
 

@@ -190,14 +190,17 @@ func (s *Schedule) Verify(ch *phys.Channel, links []phys.Link, demands []int) er
 	return nil
 }
 
-// VerifyMulti checks a multi-channel schedule against the channel set: every
-// slot's channel assignment must be feasible (per-channel SINR inequalities
-// and primary conflicts, plus the per-node radio budget — see
-// phys.ChannelSet.FeasibleAssignment) and the schedule must deliver exactly
-// the given demands, each placement serving one demand unit (a link may ride
-// several channels of one slot when radios allow). Slots without a recorded
-// assignment are taken as all-channel-0.
-func (s *Schedule) VerifyMulti(cs *phys.ChannelSet, numRadios int, links []phys.Link, demands []int) error {
+// VerifyMulti checks a multi-channel schedule against channels orthogonal
+// copies of the exact channel ch: every slot's channel assignment must be
+// feasible (per-channel SINR inequalities and primary conflicts, plus the
+// per-node radio budget — see phys.Channel.FeasibleAssignment) and the
+// schedule must deliver exactly the given demands, each placement serving
+// one demand unit (a link may ride several channels of one slot when radios
+// allow). Slots without a recorded assignment are taken as all-channel-0.
+func (s *Schedule) VerifyMulti(ch *phys.Channel, channels, numRadios int, links []phys.Link, demands []int) error {
+	if channels <= 0 {
+		return fmt.Errorf("sched: channel count must be positive, got %d", channels)
+	}
 	if len(links) != len(demands) {
 		return fmt.Errorf("sched: %d links vs %d demands", len(links), len(demands))
 	}
@@ -213,13 +216,13 @@ func (s *Schedule) VerifyMulti(cs *phys.ChannelSet, numRadios int, links []phys.
 			if chans != nil {
 				c = chans[j]
 			}
-			if c < 0 || c >= cs.NumChannels() {
-				return fmt.Errorf("sched: slot %d assigns %v to channel %d of %d", i, l, c, cs.NumChannels())
+			if c < 0 || c >= channels {
+				return fmt.Errorf("sched: slot %d assigns %v to channel %d of %d", i, l, c, channels)
 			}
 			placements[j] = phys.Placement{Link: l, Channel: c}
 			got[l]++
 		}
-		if !cs.FeasibleAssignment(placements, numRadios) {
+		if !ch.FeasibleAssignment(channels, placements, numRadios) {
 			return fmt.Errorf("sched: slot %d is infeasible under the multi-channel model (%d radios): %v", i, numRadios, placements)
 		}
 	}

@@ -321,16 +321,6 @@ func (m *Mesh) NeighborDensity() float64 { return m.Network.NeighborDensity() }
 // normalized to at least 1).
 func (m *Mesh) NumRadios() int { return m.radios }
 
-// ChannelSet returns a view of the mesh's physical channel as the given
-// number of orthogonal frequency channels (see phys.ChannelSet).
-func (m *Mesh) ChannelSet(channels int) (*ChannelSet, error) {
-	cs, err := phys.NewChannelSet(m.Network.Channel, channels)
-	if err != nil {
-		return nil, fmt.Errorf("scream: %w", err)
-	}
-	return cs, nil
-}
-
 // GreedySchedule runs the centralized GreedyPhysical baseline over the
 // mesh's selected interference engine (see UseEngine; dense by default).
 func (m *Mesh) GreedySchedule(ord Ordering) (*Schedule, error) {
@@ -342,32 +332,22 @@ func (m *Mesh) GreedySchedule(ord Ordering) (*Schedule, error) {
 }
 
 // GreedyScheduleChannels runs the multi-channel centralized greedy over the
-// given number of orthogonal channels with the mesh's per-node radio count.
-// With channels == 1 (and one radio) it is exactly GreedySchedule.
+// given number of orthogonal copies of the mesh's selected interference
+// engine (see UseEngine), with the mesh's per-node radio count. With
+// channels == 1 (and one radio) it is exactly GreedySchedule.
 func (m *Mesh) GreedyScheduleChannels(channels int, ord Ordering) (*Schedule, error) {
-	if m.interf.engineName() == EngineSpatial {
-		eng, err := m.engine()
-		if err != nil {
-			return nil, err
-		}
-		return sched.GreedyPhysicalMultiEngine(eng, channels, m.radios, m.Links, m.Demands, ord)
-	}
-	cs, err := m.ChannelSet(channels)
+	eng, err := m.engine()
 	if err != nil {
 		return nil, err
 	}
-	return sched.GreedyPhysicalMulti(cs, m.radios, m.Links, m.Demands, ord)
+	return sched.GreedyPhysicalMulti(eng, channels, m.radios, m.Links, m.Demands, ord)
 }
 
-// VerifyChannels checks a channel-assigned schedule against the
-// multi-channel interference model (per-channel SINR, per-node radio
-// budget) and the mesh's demands.
+// VerifyChannels checks a channel-assigned schedule against the exact
+// multi-channel interference model (per-channel SINR on the dense channel,
+// per-node radio budget) and the mesh's demands, whichever engine built it.
 func (m *Mesh) VerifyChannels(s *Schedule, channels int) error {
-	cs, err := m.ChannelSet(channels)
-	if err != nil {
-		return err
-	}
-	return s.VerifyMulti(cs, m.radios, m.Links, m.Demands)
+	return s.VerifyMulti(m.Network.Channel, channels, m.radios, m.Links, m.Demands)
 }
 
 // Verify checks a schedule against the physical interference model and the

@@ -97,6 +97,31 @@ func TestMeshMultiChannelSchedule(t *testing.T) {
 	}
 }
 
+// TestMeshSpatialMultiChannelSchedule: the multi-channel greedy over the
+// spatial engine is the same call as over the dense one, and its schedule
+// must pass VerifyChannels, which judges against the exact channel.
+func TestMeshSpatialMultiChannelSchedule(t *testing.T) {
+	radio := DefaultRadioParams()
+	radio.NumRadios = 2
+	m, err := NewGridMesh(GridMeshConfig{Rows: 8, Cols: 8, StepMeters: 30, Seed: 1, Radio: radio})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.UseEngine(InterferenceSpec{Engine: EngineSpatial}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := m.GreedyScheduleChannels(4, ByHeadIDDesc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.VerifyChannels(s, 4); err != nil {
+		t.Fatal(err)
+	}
+	if used := s.NumChannelsUsed(); used < 2 || used > 4 {
+		t.Fatalf("spatial 4-channel greedy used %d channels", used)
+	}
+}
+
 func TestNewGridMeshExplicitGateway(t *testing.T) {
 	m, err := NewGridMesh(GridMeshConfig{Rows: 4, Cols: 4, StepMeters: 30, Gateways: []int{0}, Seed: 2})
 	if err != nil {
