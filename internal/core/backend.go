@@ -175,26 +175,18 @@ func (b *IdealBackend) Timing() Timing { return b.timing }
 
 // Scream implements Backend.
 func (b *IdealBackend) Scream(vars []bool) []bool {
-	b.screams++
-	b.elapsed += des.Time(b.k) * b.timing.ScreamSlot()
 	if !b.strict {
 		// K >= ID and the sensitivity graph is strongly connected, so the
 		// flood saturates: every node ends with the OR of all inputs.
-		any := false
-		for _, v := range vars {
-			if v {
-				any = true
-				break
-			}
-		}
 		out := make([]bool, len(vars))
-		if any {
+		if b.screamOR(vars) {
 			for i := range out {
 				out[i] = true
 			}
 		}
 		return out
 	}
+	b.billScreams(1)
 	return RunScreamSlots(b.k, vars, func(screamers []bool) []bool {
 		det := make([]bool, len(screamers))
 		for v := range det {
@@ -210,6 +202,65 @@ func (b *IdealBackend) Scream(vars []bool) []bool {
 		}
 		return det
 	})
+}
+
+// fastIdeal returns b as a non-strict *IdealBackend, or nil for any other
+// backend. On such a backend every SCREAM ends with each node holding the
+// plain OR of the inputs (Theorem 1), so the protocol may ask it for
+// election winners and consensus values directly; every other backend
+// (strict mode, the packet-level radio backend) runs the primitives bit by
+// bit, which is what the failure-injection tests observe.
+func fastIdeal(b Backend) *IdealBackend {
+	if ib, ok := b.(*IdealBackend); ok && !ib.strict {
+		return ib
+	}
+	return nil
+}
+
+// billScreams accounts n SCREAM primitives of k slots each.
+func (b *IdealBackend) billScreams(n int) {
+	b.screams += n
+	b.elapsed += des.Time(n) * des.Time(b.k) * b.timing.ScreamSlot()
+}
+
+// screamOR bills one SCREAM and returns its network-wide OR, the value
+// every node ends with in fast mode. Only valid on a non-strict backend.
+func (b *IdealBackend) screamOR(vars []bool) bool {
+	b.billScreams(1)
+	for _, v := range vars {
+		if v {
+			return true
+		}
+	}
+	return false
+}
+
+// electOR answers one LeaderElect directly in fast mode. It bills the idBits
+// SCREAMs the bitwise election runs and returns the same winner: the
+// participant with the largest low-idBits ID, ties broken first by the
+// larger full ID, then by the larger node index (LeaderElect's final loop).
+// idBits <= 0 runs no SCREAM and masks every bit; idBits >= 64 masks none.
+// Only valid on a non-strict backend.
+func (b *IdealBackend) electOR(idBits int, ids []uint64, participating []bool) int {
+	mask := ^uint64(0)
+	switch {
+	case idBits <= 0:
+		idBits, mask = 0, 0
+	case idBits < 64:
+		mask = 1<<uint(idBits) - 1
+	}
+	b.billScreams(idBits)
+	winner := -1
+	var best uint64
+	for i, p := range participating[:len(b.sensAdj)] {
+		if !p {
+			continue
+		}
+		if m := ids[i] & mask; winner < 0 || m > best || (m == best && ids[i] >= ids[winner]) {
+			winner, best = i, m
+		}
+	}
+	return winner
 }
 
 // Clone returns a fresh backend sharing the immutable channel, sensitivity

@@ -1,11 +1,14 @@
 package core
 
-// Tests for the incremental handshake engine inside IdealBackend: whole
-// protocol runs must be indistinguishable from a backend that evaluates
-// every handshake with the naive reference phys.Channel.HandshakeOutcome.
+// Tests for the fast paths inside IdealBackend: whole protocol runs must be
+// indistinguishable from a backend that evaluates every handshake with the
+// naive reference phys.Channel.HandshakeOutcome, and from one that runs
+// every election and consensus SCREAM bit by bit.
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"scream/internal/des"
@@ -68,6 +71,55 @@ func TestIdealBackendHandshakeMatchesNaive(t *testing.T) {
 				}
 				if inc.ExecTime != naive.ExecTime {
 					t.Fatalf("dim %d seed %d %v: ExecTime %v vs %v", dim, seed, variant, inc.ExecTime, naive.ExecTime)
+				}
+			}
+		}
+	}
+}
+
+// TestFastControlPlaneMatchesReference: FDD and PDD runs on a fast-mode
+// IdealBackend, which answers elections and consensus SCREAMs directly,
+// return a Result deeply equal to runs on the same deployment with the
+// backend hidden behind struct{ Backend } (the bitwise reference path), and
+// both backends measure the same SCREAMs, handshakes and time. Covered:
+// single-channel and 2 channels x 2 radios, ASAPSeal off and on, grid and
+// uniform deployments, several seeds.
+func TestFastControlPlaneMatchesReference(t *testing.T) {
+	var fixtures []*fixture
+	var names []string
+	for seed := int64(1); seed <= 3; seed++ {
+		fixtures = append(fixtures, gridFixture(t, 4+int(seed)%2, seed), uniformFixture(t, 30, 70+seed))
+		names = append(names, fmt.Sprintf("grid/seed%d", seed), fmt.Sprintf("uniform/seed%d", 70+seed))
+	}
+	for fi, fx := range fixtures {
+		for _, variant := range []Variant{FDD, PDD} {
+			for _, channels := range []int{1, 2} {
+				for _, asap := range []bool{false, true} {
+					name := fmt.Sprintf("%s/%v/C%d/asap=%v", names[fi], variant, channels, asap)
+					run := func(b Backend) *Result {
+						cfg := Config{Variant: variant, Links: fx.links, Demands: fx.demands, Backend: b, ASAPSeal: asap}
+						if channels > 1 {
+							cfg.NumChannels, cfg.NumRadios = channels, 2
+						}
+						if variant == PDD {
+							cfg.Probability = 0.4
+							cfg.RNG = rand.New(rand.NewSource(int64(fi)))
+						}
+						res, err := Run(cfg)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						return res
+					}
+					fast, ref := fx.backend(t, 0, false), fx.backend(t, 0, false)
+					got, want := run(fast), run(struct{ Backend }{ref})
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: fast result %+v, reference %+v", name, got, want)
+					}
+					if fast.ScreamCount() != ref.ScreamCount() || fast.HandshakeCount() != ref.HandshakeCount() || fast.Elapsed() != ref.Elapsed() {
+						t.Fatalf("%s: fast backend measured %d SCREAMs / %d handshakes / %v, reference %d / %d / %v", name,
+							fast.ScreamCount(), fast.HandshakeCount(), fast.Elapsed(), ref.ScreamCount(), ref.HandshakeCount(), ref.Elapsed())
+					}
 				}
 			}
 		}

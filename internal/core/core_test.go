@@ -27,8 +27,29 @@ func gridFixture(t testing.TB, dim int, seed int64) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return forestFixture(t, net, []int{0}, rand.New(rand.NewSource(seed)))
+}
+
+// uniformFixture draws the heterogeneous-power uniform deployment of
+// TestTheorem4HoldsOnUniformTopology (n nodes in a 180 m square, 16–22 dBm)
+// with gateways at the first and last node.
+func uniformFixture(t testing.TB, n int, seed int64) *fixture {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	f, err := route.BuildForest(net.Comm, []int{0}, rng)
+	net, err := topo.NewUniform(topo.UniformConfig{
+		N: n, Side: 180, MinTxDBm: 16, MaxTxDBm: 22, Params: topo.DefaultParams(),
+	}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return forestFixture(t, net, []int{0, n - 1}, rng)
+}
+
+// forestFixture routes net to the gateways and draws uniform 1–10 node
+// demands, aggregated onto the forest links.
+func forestFixture(t testing.TB, net *topo.Network, gateways []int, rng *rand.Rand) *fixture {
+	t.Helper()
+	f, err := route.BuildForest(net.Comm, gateways, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,6 +356,167 @@ func TestLeaderElectStrictBackend(t *testing.T) {
 	}
 }
 
+// electBoth runs one election through the fast path (a non-strict
+// IdealBackend answering it directly) and through the bitwise reference on
+// the same backend, hidden behind struct{ Backend } so LeaderElect cannot
+// see the concrete type, and fails unless winner, billed SCREAMs and billed
+// time agree. It returns the winner.
+func electBoth(t *testing.T, b *IdealBackend, idBits int, ids []uint64, part []bool) int {
+	t.Helper()
+	s0, e0 := b.ScreamCount(), b.Elapsed()
+	got := LeaderElect(b, idBits, ids, part)
+	s1, e1 := b.ScreamCount(), b.Elapsed()
+	want := LeaderElect(struct{ Backend }{b}, idBits, ids, part)
+	s2, e2 := b.ScreamCount(), b.Elapsed()
+	if got != want {
+		t.Fatalf("idBits %d ids %v part %v: fast winner %d, bitwise %d", idBits, ids, part, got, want)
+	}
+	if s1-s0 != s2-s1 || e1-e0 != e2-e1 {
+		t.Fatalf("idBits %d: fast billed %d SCREAMs / %v, bitwise %d / %v", idBits, s1-s0, e1-e0, s2-s1, e2-e1)
+	}
+	return got
+}
+
+// TestLeaderElectFastMatchesBitwise pins the fast election against the
+// bitwise reference on the edge cases of the tie rule and the ID mask.
+func TestLeaderElectFastMatchesBitwise(t *testing.T) {
+	b := gridFixture(t, 3, 1).backend(t, 0, false)
+	n := b.NumNodes()
+	seq := make([]uint64, n)
+	for i := range seq {
+		seq[i] = uint64(i)
+	}
+	only := func(idx ...int) []bool {
+		part := make([]bool, n)
+		for _, i := range idx {
+			part[i] = true
+		}
+		return part
+	}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	dupMax := append([]uint64(nil), seq...)
+	dupMax[2], dupMax[6] = 8, 8 // ties node 8's maximum ID
+	wide := append([]uint64(nil), seq...)
+	wide[1] = 1<<40 | 3 // largest full ID, but only 3 under a 4-bit mask
+	top := append([]uint64(nil), seq...)
+	top[4] = 1 << 63 // only 0 under a 63-bit mask
+	cases := []struct {
+		name   string
+		idBits int
+		ids    []uint64
+		part   []bool
+		want   int
+	}{
+		{"no participants", 4, seq, only(), -1},
+		{"single participant", 4, seq, only(5), 5},
+		{"everyone", 4, seq, only(all...), n - 1},
+		{"duplicate maximum IDs", 4, dupMax, only(all...), 8},
+		{"duplicate maximum IDs, later index first", 4, dupMax, only(0, 2, 6), 6},
+		{"ID wider than idBits", 4, wide, only(1, 3), 1},
+		{"ID wider than idBits loses on masked bits", 4, wide, only(1, 7), 7},
+		{"zero bits: largest full ID", 0, wide, only(all...), 1},
+		{"63 bits: the top bit masked", 63, top, only(4, 5), 5},
+		{"64 bits: nothing masked", 64, top, only(4, 5), 4},
+		{"70 bits", 70, wide, only(all...), 1},
+	}
+	for _, tt := range cases {
+		t.Run(tt.name, func(t *testing.T) {
+			if got := electBoth(t, b, tt.idBits, tt.ids, tt.part); got != tt.want {
+				t.Errorf("winner = %d, want %d", got, tt.want)
+			}
+		})
+	}
+	// The fast path is what LeaderElect takes on this backend: it runs
+	// without materialising a single SCREAM result.
+	part := only(all...)
+	if allocs := testing.AllocsPerRun(10, func() { LeaderElect(b, 6, seq, part) }); allocs != 0 {
+		t.Errorf("fast LeaderElect allocates %v times per call, want 0", allocs)
+	}
+}
+
+// FuzzElectOR decodes a byte string into an election — 1–40 nodes on a
+// seeded uniform deployment, participation flags, IDs with duplicates and
+// bits above idBits, idBits in 0–70 — and checks the fast path against the
+// bitwise reference: same winner, same SCREAM count, same billed time.
+func FuzzElectOR(f *testing.F) {
+	f.Add([]byte{9, 4, 1, 1, 0, 1, 1, 1, 2, 3, 0, 1, 5})
+	f.Add([]byte{0, 6, 2})
+	f.Add([]byte{39, 70, 3, 7, 255, 5, 255, 3, 0, 1, 9, 0x41, 1})
+	f.Add([]byte{17, 0, 4, 1, 200, 1, 100, 3, 0, 3, 1})
+	f.Add([]byte{25, 64, 5, 0xfd, 7, 0x11, 3, 7, 0, 0xf5, 1})
+	f.Add([]byte{1, 63, 6, 0xfd, 2, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n := 1 + int(data[0])%40
+		idBits := int(data[1]) % 71
+		net, err := topo.NewUniform(topo.UniformConfig{
+			// A 60 m square at 20 dBm: every node hears every other.
+			N: n, Side: 60, MinTxDBm: 20, MaxTxDBm: 20, Params: topo.DefaultParams(),
+		}, rand.New(rand.NewSource(int64(data[2]))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewIdealBackend(net.Channel, net.Sens, max(net.InterferenceDiameter(), 1), DefaultTiming(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]uint64, n)
+		part := make([]bool, n)
+		for i := 0; i < n; i++ {
+			var fl, v byte
+			if k := 3 + 2*i; k+1 < len(data) {
+				fl, v = data[k], data[k+1]
+			}
+			part[i] = fl&1 == 1
+			switch (fl >> 1) & 3 {
+			case 0:
+				ids[i] = uint64(v)
+			case 1: // duplicate an earlier node's ID
+				ids[i] = uint64(v)
+				if i > 0 {
+					ids[i] = ids[int(v)%i]
+				}
+			case 2: // bits anywhere in the word
+				ids[i] = uint64(v) << (2 * (fl >> 3))
+			case 3: // the top bits set
+				ids[i] = ^uint64(v)
+			}
+		}
+		electBoth(t, b, idBits, ids, part)
+	})
+}
+
+// BenchmarkLeaderElect64 measures one controller election among all 64
+// nodes of an 8x8 grid: answered directly by the fast backend, and run bit
+// by bit (IDBitsFor(64) = 6 SCREAMs) through the reference path.
+func BenchmarkLeaderElect64(b *testing.B) {
+	ib := gridFixture(b, 8, 1).backend(b, 0, false)
+	n := ib.NumNodes()
+	ids := make([]uint64, n)
+	part := make([]bool, n)
+	for i := range ids {
+		ids[i], part[i] = uint64(i), true
+	}
+	for _, bc := range []struct {
+		name string
+		be   Backend
+	}{{"fast", ib}, {"reference", struct{ Backend }{ib}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if LeaderElect(bc.be, IDBitsFor(n), ids, part) != n-1 {
+					b.Fatal("wrong winner")
+				}
+			}
+		})
+	}
+}
+
 func TestFDDVerifiesAndTerminates(t *testing.T) {
 	fx := gridFixture(t, 5, 12)
 	res, err := Run(Config{
@@ -406,47 +588,20 @@ func TestTheorem4FDDEqualsGreedyPhysical(t *testing.T) {
 }
 
 func TestTheorem4HoldsOnUniformTopology(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	p := topo.DefaultParams()
-	net, err := topo.NewUniform(topo.UniformConfig{
-		N: 36, Side: 180, MinTxDBm: 16, MaxTxDBm: 22, Params: p,
-	}, rng)
+	fx := uniformFixture(t, 36, 77)
+	b := fx.backend(t, 0, false)
+	res, err := Run(Config{Variant: FDD, Links: fx.links, Demands: fx.demands, Backend: b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := route.BuildForest(net.Comm, []int{0, 35}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodeDemand, err := traffic.Uniform(net.NumNodes(), 1, 10, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := f.AggregateDemand(nodeDemand)
-	if err != nil {
-		t.Fatal(err)
-	}
-	links := f.Links()
-	demands := make([]int, len(links))
-	for i, l := range links {
-		demands[i] = agg[l.From]
-	}
-	b, err := NewIdealBackend(net.Channel, net.Sens, net.InterferenceDiameter(), DefaultTiming(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(Config{Variant: FDD, Links: links, Demands: demands, Backend: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := sched.GreedyPhysical(net.Channel, links, demands, sched.ByHeadIDDesc)
+	want, err := sched.GreedyPhysical(fx.net.Channel, fx.links, fx.demands, sched.ByHeadIDDesc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Schedule.Equal(want) {
 		t.Fatal("Theorem 4 equality failed on heterogeneous uniform topology")
 	}
-	if err := res.Schedule.Verify(net.Channel, links, demands); err != nil {
+	if err := res.Schedule.Verify(fx.net.Channel, fx.links, fx.demands); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -529,6 +684,7 @@ func TestRunConfigValidation(t *testing.T) {
 		{"mismatched demands", Config{Variant: FDD, Links: fx.links, Demands: fx.demands[:1], Backend: b}},
 		{"pdd no rng", Config{Variant: PDD, Probability: 0.5, Links: fx.links, Demands: fx.demands, Backend: b}},
 		{"pdd bad p", Config{Variant: PDD, Probability: 1.5, RNG: rand.New(rand.NewSource(1)), Links: fx.links, Demands: fx.demands, Backend: b}},
+		{"negative id bits", Config{Variant: FDD, IDBits: -1, Links: fx.links, Demands: fx.demands, Backend: b}},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
@@ -536,6 +692,13 @@ func TestRunConfigValidation(t *testing.T) {
 				t.Error("expected error")
 			}
 		})
+	}
+	_, err := Run(Config{Variant: FDD, IDBits: -3, Links: fx.links, Demands: fx.demands, Backend: b})
+	if err == nil || !strings.Contains(err.Error(), "IDBits") {
+		t.Errorf("negative IDBits error %v must name the field", err)
+	}
+	if b.ScreamCount() != 0 || b.Elapsed() != 0 {
+		t.Error("rejected configs must not run any primitive")
 	}
 }
 

@@ -13,7 +13,13 @@ package core
 // there are no participants. The paper's pseudocode returns `votedout`; the
 // accompanying text makes clear the intended return is "am I the leader",
 // i.e. NOT votedout — which is what this implementation reports.
+//
+// On a fast-mode IdealBackend the election is answered directly (same
+// winner, same SCREAMs billed); every other backend runs it bit by bit.
 func LeaderElect(b Backend, idBits int, ids []uint64, participating []bool) int {
+	if ib := fastIdeal(b); ib != nil {
+		return ib.electOR(idBits, ids, participating)
+	}
 	n := b.NumNodes()
 	votedout := make([]bool, n)
 	for i := 0; i < n; i++ {

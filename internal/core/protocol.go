@@ -83,7 +83,7 @@ type Config struct {
 	// Backend executes SCREAMs and handshake slots (and accounts time).
 	Backend Backend
 	// IDBits is the ID width for leader election; 0 derives it from the
-	// node count (the paper's id_bits = ln n).
+	// node count (the paper's id_bits = ln n). Negative widths are rejected.
 	IDBits int
 	// Probability is PDD's activation probability p.
 	Probability float64
@@ -148,6 +148,10 @@ type protoRun struct {
 	idBits      int
 	ids         []uint64
 	maxRounds   int
+	// fast is the backend as a fast-mode IdealBackend (nil otherwise): the
+	// consensus SCREAMs then ask it for the OR directly instead of
+	// materialising every node's identical view.
+	fast *IdealBackend
 
 	res       *Result
 	state     []State
@@ -194,6 +198,7 @@ func newProtoRun(cfg Config) (*protoRun, error) {
 	p := &protoRun{
 		cfg: cfg, n: n, linkOf: linkOf, totalDemand: totalDemand,
 		idBits: idBits, ids: ids, maxRounds: maxRounds,
+		fast:      fastIdeal(cfg.Backend),
 		res:       &Result{Schedule: sched.NewSchedule()},
 		state:     make([]State, n),
 		remaining: append([]int(nil), cfg.Demands...),
@@ -218,9 +223,15 @@ func (p *protoRun) setState(u int, to State) {
 	p.state[u] = to
 }
 
-func (p *protoRun) scream(vars []bool) []bool {
+// scream runs a SCREAM whose result no decision reads (the ASAPSeal
+// ablation's still-dormant SCREAM): it is run only to be billed.
+func (p *protoRun) scream(vars []bool) {
 	p.res.Screams++
-	return p.cfg.Backend.Scream(vars)
+	if p.fast != nil {
+		p.fast.screamOR(vars)
+		return
+	}
+	p.cfg.Backend.Scream(vars)
 }
 
 // screamConsensus runs a SCREAM whose result steers control flow. With
@@ -228,9 +239,14 @@ func (p *protoRun) scream(vars []bool) []bool {
 // node computes the same OR; if views diverge the distributed protocol
 // has genuinely broken, which we surface as an error instead of
 // silently picking a view (this is what the failure-injection tests
-// observe when K < ID or the skew guard is violated).
+// observe when K < ID or the skew guard is violated). A fast-mode
+// IdealBackend guarantees agreement, so it is asked for the OR directly.
 func (p *protoRun) screamConsensus(vars []bool, what string) (bool, error) {
-	result := p.scream(vars)
+	p.res.Screams++
+	if p.fast != nil {
+		return p.fast.screamOR(vars), nil
+	}
+	result := p.cfg.Backend.Scream(vars)
 	v := result[0]
 	for i, r := range result {
 		if r != v {
@@ -267,6 +283,9 @@ func Run(cfg Config) (*Result, error) {
 	case FDD:
 	default:
 		return nil, fmt.Errorf("core: unknown variant %v", cfg.Variant)
+	}
+	if cfg.IDBits < 0 {
+		return nil, fmt.Errorf("core: IDBits must be non-negative, got %d", cfg.IDBits)
 	}
 	p, err := newProtoRun(cfg)
 	if err != nil {

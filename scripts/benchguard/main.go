@@ -38,8 +38,8 @@ import (
 
 // allocTolerance is the allocs/op gate: the fractional growth a benchmark
 // may show before it fails. It only absorbs the few allocations that
-// goroutine scheduling moves between runs (BenchmarkPDDRun64 varies by
-// about 0.3%); a benchmark at zero allocations must stay there.
+// goroutine scheduling moves between runs; a benchmark at zero allocations
+// must stay there.
 const allocTolerance = 0.02
 
 // result is one benchmark's numbers, each the minimum over the repetitions
